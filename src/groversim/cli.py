@@ -5,9 +5,6 @@ with the same arguments, get byte-identical files. CSV files carry a
 '# key=value' metadata prelude, then an RFC-4180 body with a header row
 and floats at 17 significant digits. JSON files carry the same metadata
 under "meta". Writes are atomic (temp file + rename).
-
-GROVERSIM_THREADS (default 1) caps the worker threads used by sweep
-commands; results are assembled in a fixed order either way.
 """
 from __future__ import annotations
 
@@ -19,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -129,46 +125,35 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GROVERSIM_THREADS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"GROVERSIM_THREADS must be >= 1, got {raw!r}")
-    return count
-
-
-def _map_ordered(fn, items):
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _random_state(n: int, rng: np.random.Generator) -> PureState:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
     return PureState(n, amps)
 
 
+def _ansatz_params(args) -> LocalGateParams | None:
+    """Ansatz parameters from --alpha/--beta/--theta, or None for the uniform state."""
+    angles = (args.alpha, args.beta, args.theta)
+    if all(a is None for a in angles):
+        return None
+    if args.uniform:
+        raise ValueError("--uniform cannot be combined with --alpha/--beta/--theta")
+    if any(a is None for a in angles):
+        raise ValueError("--alpha, --beta, --theta must be given together")
+    return LocalGateParams(*angles)
+
+
 def _initial_state(args, n: int) -> tuple[PureState, dict]:
     """Build the prepared state from --alpha/--beta/--theta or --uniform."""
-    angles = (args.alpha, args.beta, args.theta)
-    if args.uniform and any(a is not None for a in angles):
-        raise ValueError("--uniform cannot be combined with --alpha/--beta/--theta")
-    if any(a is not None for a in angles) and not all(a is not None for a in angles):
-        raise ValueError("--alpha, --beta, --theta must be given together")
-    if all(a is not None for a in angles):
-        params = LocalGateParams(args.alpha, args.beta, args.theta)
-        return prepare_ansatz_state(n, params), {
-            "initial": "ansatz",
-            "alpha": params.alpha,
-            "beta": params.beta,
-            "theta": params.theta,
-        }
-    return equal_superposition(n), {"initial": "uniform"}
+    params = _ansatz_params(args)
+    if params is None:
+        return equal_superposition(n), {"initial": "uniform"}
+    return prepare_ansatz_state(n, params), {
+        "initial": "ansatz",
+        "alpha": params.alpha,
+        "beta": params.beta,
+        "theta": params.theta,
+    }
 
 
 def cmd_verify_average(args) -> int:
@@ -203,7 +188,7 @@ def cmd_verify_average(args) -> int:
                 )
         return rows
 
-    rows = [row for cell_rows in _map_ordered(sweep_cell, cells) for row in cell_rows]
+    rows = [row for cell in cells for row in sweep_cell(cell)]
     max_dev = max((row[-1] for row in rows), default=0.0)
 
     meta = _meta(
@@ -325,6 +310,8 @@ def cmd_minimize(args) -> int:
         table = ObjectiveTable.from_csv(args.objective)
         objective_meta = {"objective": str(args.objective)}
     else:
+        if not 1 <= args.objective_n <= MAX_QUBITS:
+            raise ValueError(f"--objective-n must lie in [1, {MAX_QUBITS}], got {args.objective_n}")
         table = make_objective(args.generator, args.objective_n, args.objective_seed)
         objective_meta = {
             "objective": f"generator:{args.generator}",
@@ -336,13 +323,8 @@ def cmd_minimize(args) -> int:
         growth=args.growth,
         initial_reach=args.initial_reach,
         max_oracle_calls=args.budget,
-        stall_rounds=args.stall_rounds,
     )
-    init_params = None
-    if not args.uniform and any(a is not None for a in (args.alpha, args.beta, args.theta)):
-        if not all(a is not None for a in (args.alpha, args.beta, args.theta)):
-            raise ValueError("--alpha, --beta, --theta must be given together")
-        init_params = LocalGateParams(args.alpha, args.beta, args.theta)
+    init_params = _ansatz_params(args)
 
     reports = [run_minimization(table, init_params, schedule, seed) for seed in seeds]
     true_min = float(table.values.min())
@@ -355,7 +337,6 @@ def cmd_minimize(args) -> int:
             **objective_meta,
             "n": table.n, "seeds": seeds, "growth": schedule.growth,
             "initial_reach": schedule.initial_reach, "budget": schedule.max_oracle_calls,
-            "stall_rounds": schedule.stall_rounds,
             "initial": "uniform" if init_params is None else "ansatz",
         },
     )
@@ -458,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, help="oracle-call budget (unlimited when omitted)")
     p.add_argument("--growth", type=float, default=6.0 / 5.0, help="reach growth factor in (1, 4/3]")
     p.add_argument("--initial-reach", type=float, default=1.0, help="starting reach (>= 1)")
-    p.add_argument("--stall-rounds", type=int, default=3, help="rounds without improvement before stopping")
     _add_state_flags(p)
     p.add_argument("--out", required=True, help="output prefix; writes <out>.json and <out>_summary.csv")
     p.set_defaults(func=cmd_minimize)

@@ -1,40 +1,16 @@
-"""Hot numeric kernels: jit-compiled fast path, pure-numpy fallback.
-
-Set GROVERSIM_KERNELS=numpy to force the fallback, =numba to require the
-jit path (raises at import if numba is missing), or leave it unset/auto
-to pick numba when available. Subset sums are compensated on both paths
-(Kahan in the jit loop, exact chunk-subtotal reduction in numpy); each
-backend is run-to-run deterministic and they agree to ~1e-13.
+"""Hot numeric kernels, written with numpy.
 
 One Grover step on an amplitude vector v with marked index set M:
 flip the sign of v on M, then reflect about the mean, v -> 2 mean(v) - v.
+Subset sums are compensated (exact reduction of per-chunk subtotals), so
+the subset average is run-to-run deterministic.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-_env = os.environ.get("GROVERSIM_KERNELS", "auto").strip().lower() or "auto"
-if _env == "auto":
-    BACKEND = "numba" if HAVE_NUMBA else "numpy"
-elif _env == "numba":
-    if not HAVE_NUMBA:
-        raise ImportError("GROVERSIM_KERNELS=numba but numba is not importable")
-    BACKEND = "numba"
-elif _env == "numpy":
-    BACKEND = "numpy"
-else:
-    raise ValueError(f"unrecognized GROVERSIM_KERNELS value: {_env!r}")
 
 # Keep chunks of the subset-averaging workspace around 32 MiB of complex128.
 _CHUNK_ELEMENTS = 1 << 21
@@ -45,17 +21,21 @@ def _marked_mass(v: np.ndarray, marked: np.ndarray) -> float:
     return float(np.real(np.vdot(picked, picked)))
 
 
-def _evolve_numpy(amps: np.ndarray, marked: np.ndarray, tau: int) -> np.ndarray:
-    v = amps.copy()
+def grover_evolve(amps: np.ndarray, marked, tau: int) -> np.ndarray:
+    """Amplitudes after tau Grover steps with the given marked indices."""
+    v = np.array(amps, dtype=np.complex128)
+    marked = np.asarray(marked, dtype=np.int64)
     for _ in range(tau):
         v[marked] = -v[marked]
         v = 2.0 * v.mean() - v
     return v
 
 
-def _trajectory_numpy(amps: np.ndarray, marked: np.ndarray, tau_max: int) -> np.ndarray:
+def success_trajectory(amps: np.ndarray, marked, tau_max: int) -> np.ndarray:
+    """Marked-index probability mass after 0..tau_max Grover steps."""
+    v = np.array(amps, dtype=np.complex128)
+    marked = np.asarray(marked, dtype=np.int64)
     out = np.empty(tau_max + 1, dtype=np.float64)
-    v = amps.copy()
     out[0] = _marked_mass(v, marked)
     for t in range(1, tau_max + 1):
         v[marked] = -v[marked]
@@ -64,7 +44,13 @@ def _trajectory_numpy(amps: np.ndarray, marked: np.ndarray, tau_max: int) -> np.
     return out
 
 
-def _average_trajectory_numpy(amps: np.ndarray, r: int, tau_max: int) -> np.ndarray:
+def average_trajectory(amps: np.ndarray, r: int, tau_max: int) -> np.ndarray:
+    """Success mass after 0..tau_max steps, averaged over every r-subset.
+
+    Enumerates all C(dim, r) marked sets; callers are responsible for
+    capping the enumeration size before invoking this.
+    """
+    amps = np.asarray(amps, dtype=np.complex128)
     dim = amps.shape[0]
     rows = max(1, min(4096, _CHUNK_ELEMENTS // dim))
     partials: list[list[float]] = [[] for _ in range(tau_max + 1)]
@@ -86,131 +72,3 @@ def _average_trajectory_numpy(amps: np.ndarray, r: int, tau_max: int) -> np.ndar
             partials[t].append(float(np.sum(np.abs(block[rix, sel]) ** 2)))
     out = np.array([math.fsum(p) for p in partials], dtype=np.float64)
     return out / count
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _evolve_numba(amps, marked, tau):  # pragma: no cover - measured via dispatch
-        v = amps.copy()
-        dim = v.shape[0]
-        for _ in range(tau):
-            for k in range(marked.shape[0]):
-                v[marked[k]] = -v[marked[k]]
-            mean = 0.0 + 0.0j
-            for x in range(dim):
-                mean += v[x]
-            twice_mean = mean * (2.0 / dim)
-            for x in range(dim):
-                v[x] = twice_mean - v[x]
-        return v
-
-    @njit(cache=True, nogil=True)
-    def _trajectory_numba(amps, marked, tau_max):  # pragma: no cover
-        dim = amps.shape[0]
-        v = amps.copy()
-        out = np.empty(tau_max + 1, dtype=np.float64)
-        s = 0.0
-        for k in range(marked.shape[0]):
-            a = v[marked[k]]
-            s += a.real * a.real + a.imag * a.imag
-        out[0] = s
-        for t in range(1, tau_max + 1):
-            for k in range(marked.shape[0]):
-                v[marked[k]] = -v[marked[k]]
-            mean = 0.0 + 0.0j
-            for x in range(dim):
-                mean += v[x]
-            twice_mean = mean * (2.0 / dim)
-            for x in range(dim):
-                v[x] = twice_mean - v[x]
-            s = 0.0
-            for k in range(marked.shape[0]):
-                a = v[marked[k]]
-                s += a.real * a.real + a.imag * a.imag
-            out[t] = s
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _average_trajectory_numba(amps, r, tau_max):  # pragma: no cover
-        dim = amps.shape[0]
-        sums = np.zeros(tau_max + 1, dtype=np.float64)
-        carry = np.zeros(tau_max + 1, dtype=np.float64)  # Kahan compensation
-        comb = np.arange(r)
-        v = np.empty(dim, dtype=np.complex128)
-        count = 0
-        while True:
-            for x in range(dim):
-                v[x] = amps[x]
-            s = 0.0
-            for k in range(r):
-                a = v[comb[k]]
-                s += a.real * a.real + a.imag * a.imag
-            y = s - carry[0]
-            t0 = sums[0] + y
-            carry[0] = (t0 - sums[0]) - y
-            sums[0] = t0
-            for t in range(1, tau_max + 1):
-                for k in range(r):
-                    v[comb[k]] = -v[comb[k]]
-                mean = 0.0 + 0.0j
-                for x in range(dim):
-                    mean += v[x]
-                twice_mean = mean * (2.0 / dim)
-                for x in range(dim):
-                    v[x] = twice_mean - v[x]
-                s = 0.0
-                for k in range(r):
-                    a = v[comb[k]]
-                    s += a.real * a.real + a.imag * a.imag
-                y = s - carry[t]
-                tt = sums[t] + y
-                carry[t] = (tt - sums[t]) - y
-                sums[t] = tt
-            count += 1
-            # next r-subset in lexicographic order
-            i = r - 1
-            while i >= 0 and comb[i] == dim - r + i:
-                i -= 1
-            if i < 0:
-                break
-            comb[i] += 1
-            for k in range(i + 1, r):
-                comb[k] = comb[k - 1] + 1
-        return sums / count
-
-
-def _as_amps(amps: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(amps, dtype=np.complex128)
-
-
-def _as_marked(marked) -> np.ndarray:
-    return np.ascontiguousarray(marked, dtype=np.int64)
-
-
-def grover_evolve(amps: np.ndarray, marked, tau: int) -> np.ndarray:
-    """Amplitudes after tau Grover steps with the given marked indices."""
-    a, m = _as_amps(amps), _as_marked(marked)
-    if BACKEND == "numba":
-        return _evolve_numba(a, m, tau)
-    return _evolve_numpy(a, m, tau)
-
-
-def success_trajectory(amps: np.ndarray, marked, tau_max: int) -> np.ndarray:
-    """Marked-index probability mass after 0..tau_max Grover steps."""
-    a, m = _as_amps(amps), _as_marked(marked)
-    if BACKEND == "numba":
-        return _trajectory_numba(a, m, tau_max)
-    return _trajectory_numpy(a, m, tau_max)
-
-
-def average_trajectory(amps: np.ndarray, r: int, tau_max: int) -> np.ndarray:
-    """Success mass after 0..tau_max steps, averaged over every r-subset.
-
-    Enumerates all C(dim, r) marked sets; callers are responsible for
-    capping the enumeration size before invoking this.
-    """
-    a = _as_amps(amps)
-    if BACKEND == "numba":
-        return _average_trajectory_numba(a, r, tau_max)
-    return _average_trajectory_numpy(a, r, tau_max)

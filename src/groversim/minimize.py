@@ -86,6 +86,8 @@ def make_objective(kind: str, n: int, seed: int) -> ObjectiveTable:
     """Built-in generators: 'permutation' of 0..N-1, 'uniform' reals, 'constant'."""
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown objective generator {kind!r}; choose from {GENERATOR_KINDS}")
+    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be an int in [1, {MAX_QUBITS}], got {n!r}")
     dim = 2**n
     rng = np.random.default_rng([seed, dim])
     if kind == "permutation":
@@ -105,7 +107,6 @@ class SearchSchedule:
     growth: float = 6.0 / 5.0
     initial_reach: float = 1.0
     max_oracle_calls: int | None = None
-    stall_rounds: int = 3
 
     def __post_init__(self) -> None:
         if not 1.0 < self.growth <= 4.0 / 3.0:
@@ -114,8 +115,6 @@ class SearchSchedule:
             raise ValueError(f"initial reach must be >= 1, got {self.initial_reach!r}")
         if self.max_oracle_calls is not None and self.max_oracle_calls <= 0:
             raise ValueError(f"oracle budget must be positive, got {self.max_oracle_calls!r}")
-        if self.stall_rounds < 1:
-            raise ValueError(f"stall window must be >= 1, got {self.stall_rounds!r}")
 
 
 @dataclass(frozen=True)
@@ -220,8 +219,10 @@ def run_minimization(
     Starts from a uniformly random index, then repeats: mark entries below
     the threshold, exponential-search them, accept the measurement if it
     improves. Stops when the marked set is empty (the threshold is the
-    minimum), when the stall window passes without improvement, or when
-    the budget runs out; stop_reason records which.
+    minimum) or when the budget runs out; stop_reason records which.
+    These are the only stops: a verified hit always lowers the threshold,
+    because marking is strict, and an unverified outcome comes back only
+    once the budget is spent.
     """
     rng = np.random.default_rng(seed)
     prep = (
@@ -233,7 +234,6 @@ def run_minimization(
     d = float(table.values[x])
     history = [(x, d)]
     calls = 0
-    misses = 0
     budget = schedule.max_oracle_calls
     while True:
         marked = threshold_marked_set(table, d)
@@ -242,9 +242,6 @@ def run_minimization(
             break
         if budget is not None and calls >= budget:
             converged, reason = False, "budget_exhausted"
-            break
-        if misses >= schedule.stall_rounds:
-            converged, reason = True, "stalled"
             break
         round_schedule = replace(
             schedule,
@@ -256,9 +253,6 @@ def run_minimization(
         if value < d:
             x, d = outcome.index, value
             history.append((x, d))
-            misses = 0
-        else:
-            misses += 1
     return MinimizationReport(
         result_index=x,
         result_value=d,

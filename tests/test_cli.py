@@ -175,6 +175,26 @@ def test_minimize_rejects_missing_objective_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--n", "4", "--marked", "1", "--tau", "1"],
+    ["minimize", "--objective-n", "4", "--seeds", "0"],
+])
+def test_uniform_conflicts_with_ansatz_angles(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main(command + ["--uniform", "--alpha", "0.1", "--beta", "0.2",
+                           "--theta", "0.7", "--out", str(out)]) == 2
+    assert "--uniform cannot be combined with --alpha/--beta/--theta" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("objective_n", ["-1", "21"])
+def test_minimize_rejects_out_of_range_objective_n(tmp_path, capsys, objective_n):
+    assert main(["minimize", "--objective-n", objective_n, "--seeds", "0",
+                 "--out", str(tmp_path / "mini")]) == 2
+    assert "--objective-n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_outputs_are_byte_identical_on_rerun(tmp_path):
     args = ["minimize", "--objective-n", "3", "--seeds", "0,1,2,3", "--out", str(tmp_path / "a")]
     assert main(args) == 0
@@ -182,23 +202,6 @@ def test_outputs_are_byte_identical_on_rerun(tmp_path):
     assert main(args) == 0
     second = ((tmp_path / "a.json").read_bytes(), (tmp_path / "a_summary.csv").read_bytes())
     assert first == second
-
-
-def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
-    args = lambda name: ["verify-average", "--n", "1,2,3", "--r", "1,2", "--tau", "2",
-                         "--states", "3", "--out", str(tmp_path / name)]
-    monkeypatch.delenv("GROVERSIM_THREADS", raising=False)
-    assert main(args("one.csv")) == 0
-    monkeypatch.setenv("GROVERSIM_THREADS", "4")
-    assert main(args("four.csv")) == 0
-    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "four.csv").read_bytes()
-
-
-def test_invalid_thread_env_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GROVERSIM_THREADS", "zero")
-    assert main(["verify-average", "--n", "1", "--r", "1", "--tau", "1",
-                 "--states", "1", "--out", str(tmp_path / "x.csv")]) == 2
-    assert "error" in capsys.readouterr().err
 
 
 def test_csv_numbers_round_trip(tmp_path):

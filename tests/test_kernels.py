@@ -1,49 +1,19 @@
 import itertools
-import os
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 
 from groversim import kernels
 from conftest import random_state
 
 
-def both_backends():
-    impls = [
-        (kernels._evolve_numpy, kernels._trajectory_numpy, kernels._average_trajectory_numpy)
-    ]
-    if kernels.HAVE_NUMBA:
-        impls.append(
-            (kernels._evolve_numba, kernels._trajectory_numba, kernels._average_trajectory_numba)
-        )
-    return impls
-
-
-def test_backend_is_one_of_the_known_names():
-    assert kernels.BACKEND in ("numba", "numpy")
-
-
-def test_evolve_matches_between_backends(rng):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    amps = random_state(5, rng).amplitudes
-    marked = np.array([3, 17, 30], dtype=np.int64)
-    a = kernels._evolve_numpy(amps.copy(), marked, 7)
-    b = kernels._evolve_numba(amps.copy(), marked, 7)
-    np.testing.assert_allclose(a, b, atol=1e-13)
-
-
 def test_trajectory_agrees_with_stepwise_evolve(rng):
     amps = random_state(4, rng).amplitudes
     marked = np.array([0, 9], dtype=np.int64)
-    for evolve, trajectory, _ in both_backends():
-        traj = trajectory(amps.copy(), marked, 5)
-        for t in range(6):
-            v = evolve(amps.copy(), marked, t)
-            expected = np.sum(np.abs(v[marked]) ** 2)
-            assert abs(traj[t] - expected) < 1e-13
+    traj = kernels.success_trajectory(amps, marked, 5)
+    for t in range(6):
+        v = kernels.grover_evolve(amps, marked, t)
+        expected = np.sum(np.abs(v[marked]) ** 2)
+        assert abs(traj[t] - expected) < 1e-13
 
 
 def test_average_matches_naive_enumeration(rng):
@@ -53,74 +23,39 @@ def test_average_matches_naive_enumeration(rng):
     combos = list(itertools.combinations(range(8), r))
     for combo in combos:
         marked = np.array(combo, dtype=np.int64)
-        naive += kernels._trajectory_numpy(amps.copy(), marked, tau)
+        naive += kernels.success_trajectory(amps, marked, tau)
     naive /= len(combos)
-    for _, _, average in both_backends():
-        got = average(amps.copy(), r, tau)
-        np.testing.assert_allclose(got, naive, atol=1e-13)
+    got = kernels.average_trajectory(amps, r, tau)
+    np.testing.assert_allclose(got, naive, atol=1e-13)
 
 
 def test_average_chunking_perturbs_nothing_beyond_roundoff(rng, monkeypatch):
     # shrink the chunk budget so several chunks are exercised
     amps = random_state(4, rng).amplitudes
-    expected = kernels._average_trajectory_numpy(amps, 2, 3)
+    expected = kernels.average_trajectory(amps, 2, 3)
     monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 64)
-    chunked = kernels._average_trajectory_numpy(amps, 2, 3)
+    chunked = kernels.average_trajectory(amps, 2, 3)
     np.testing.assert_allclose(chunked, expected, rtol=0, atol=1e-14)
     # and a fixed configuration is bit-for-bit repeatable
-    np.testing.assert_array_equal(
-        kernels._average_trajectory_numpy(amps, 2, 3), chunked
-    )
+    np.testing.assert_array_equal(kernels.average_trajectory(amps, 2, 3), chunked)
 
 
 def test_zero_iterations_is_identity(rng):
     amps = random_state(3, rng).amplitudes
     marked = np.array([1], dtype=np.int64)
-    for evolve, _, _ in both_backends():
-        np.testing.assert_array_equal(evolve(amps.copy(), marked, 0), amps)
+    np.testing.assert_array_equal(kernels.grover_evolve(amps, marked, 0), amps)
+
+
+def test_kernels_leave_their_input_untouched(rng):
+    amps = random_state(3, rng).amplitudes
+    before = amps.copy()
+    kernels.grover_evolve(amps, [2, 5], 3)
+    kernels.success_trajectory(amps, [2, 5], 3)
+    kernels.average_trajectory(amps, 2, 3)
+    np.testing.assert_array_equal(amps, before)
 
 
 def test_dispatch_coerces_inputs():
     out = kernels.grover_evolve([1.0, 0.0], (0,), 1)
     assert out.dtype == np.complex128
     np.testing.assert_allclose(out, [0.0, -1.0], atol=1e-15)
-
-
-def _child_env(kernels_value):
-    """Environment for a fresh interpreter that imports this copy of groversim.
-
-    Inherits the parent's environment, sets GROVERSIM_KERNELS, and puts the
-    directory holding the imported package first on PYTHONPATH so the child
-    neither misses an uninstalled source tree nor picks up another copy.
-    """
-    env = dict(os.environ)
-    env["GROVERSIM_KERNELS"] = kernels_value
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = package_root + (os.pathsep + existing if existing else "")
-    return env
-
-
-def test_unrecognized_env_value_fails_at_import():
-    code = "import groversim.kernels"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=_child_env("cuda"),
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0
-    assert "ValueError" in proc.stderr
-    assert "unrecognized GROVERSIM_KERNELS value: 'cuda'" in proc.stderr
-
-
-def test_numpy_env_value_selects_fallback():
-    code = "from groversim import kernels; print(kernels.BACKEND)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=_child_env("numpy"),
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "numpy"

@@ -73,6 +73,12 @@ def test_generators_are_deterministic():
         make_objective("sorted", 2, 0)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 21, 2.0])
+def test_generators_reject_bad_qubit_counts(n):
+    with pytest.raises(ValueError, match="qubit count"):
+        make_objective("permutation", n, 0)
+
+
 # ------------------------------------------------------------- marking oracle
 
 def test_threshold_marks_strictly_below():
@@ -149,8 +155,6 @@ def test_schedule_validation():
         SearchSchedule(initial_reach=0.5)
     with pytest.raises(ValueError, match="budget"):
         SearchSchedule(max_oracle_calls=0)
-    with pytest.raises(ValueError, match="stall"):
-        SearchSchedule(stall_rounds=0)
 
 
 # ---------------------------------------------------------- threshold descent
@@ -189,8 +193,24 @@ def test_budget_exhaustion_is_reported():
     rep = run_minimization(t, schedule=SearchSchedule(max_oracle_calls=2), seed=1)
     assert rep.stop_reason == "budget_exhausted"
     assert not rep.converged
-    assert rep.oracle_calls_used <= 2
+    assert rep.oracle_calls_used == 2
     assert rep.result_value == 1.0
+    # a run ends only by emptying its marked set or by spending the whole
+    # budget: exponential search clamps its last attempt to the calls left
+    reasons = set()
+    for table in (t, make_objective("permutation", 6, 2), make_objective("uniform", 8, 5)):
+        for budget in (1, 2, 3, 5, 8, 13, 40):
+            for seed in range(12):
+                rep = run_minimization(table, schedule=SearchSchedule(max_oracle_calls=budget), seed=seed)
+                reasons.add(rep.stop_reason)
+                assert rep.stop_reason in ("empty_marked_set", "budget_exhausted")
+                assert rep.converged == (rep.stop_reason == "empty_marked_set")
+                if rep.stop_reason == "budget_exhausted":
+                    assert rep.oracle_calls_used == budget
+                else:
+                    assert rep.oracle_calls_used <= budget
+                    assert rep.result_value == table.values.min()
+    assert reasons == {"empty_marked_set", "budget_exhausted"}
 
 
 def test_reports_are_reproducible_per_seed():
