@@ -140,6 +140,8 @@ def _ansatz_params(args) -> LocalGateParams | None:
         raise ValueError("--uniform cannot be combined with --alpha/--beta/--theta")
     if any(a is None for a in angles):
         raise ValueError("--alpha, --beta, --theta must be given together")
+    if not 0.0 <= args.theta <= math.pi / 2.0:
+        raise ValueError(f"--theta must lie in [0, pi/2], got {args.theta}")
     return LocalGateParams(*angles)
 
 
@@ -167,8 +169,12 @@ def cmd_verify_average(args) -> int:
         raise ValueError(f"--tau must be >= 0, got {args.tau}")
     if args.states < 0:
         raise ValueError(f"--states must be >= 0, got {args.states}")
+    if args.cap < 1:
+        raise ValueError(f"--cap must be >= 1, got {args.cap}")
 
     cells = [(n, r) for n in ns for r in rs if r <= 2**n]
+    if not cells:
+        raise ValueError(f"every --r entry exceeds N = 2**n = {2**max(ns)} for the largest --n")
 
     def sweep_cell(cell: tuple[int, int]) -> list[tuple]:
         n, r = cell
@@ -306,6 +312,12 @@ def cmd_run(args) -> int:
 
 def cmd_minimize(args) -> int:
     """Threshold-descent minimization over seeds, with an aggregate summary."""
+    if args.budget is not None and args.budget <= 0:
+        raise ValueError(f"--budget must be positive, got {args.budget}")
+    if not 1.0 < args.growth <= 4.0 / 3.0:
+        raise ValueError(f"--growth must lie in (1, 4/3], got {args.growth}")
+    if not args.initial_reach >= 1.0:
+        raise ValueError(f"--initial-reach must be >= 1, got {args.initial_reach}")
     if args.objective:
         table = ObjectiveTable.from_csv(args.objective)
         objective_meta = {"objective": str(args.objective)}

@@ -2,8 +2,19 @@
 
 One Grover step on an amplitude vector v with marked index set M:
 flip the sign of v on M, then reflect about the mean, v -> 2 mean(v) - v.
-Subset sums are compensated (exact reduction of per-chunk subtotals), so
-the subset average is run-to-run deterministic.
+
+The unmarked amplitudes reach the marked ones only through the mean, so
+the all-subsets average steps just the r marked amplitudes A and the
+total T = sum(v) of each subset (Biham et al., PRA 60, 2742, 1999):
+
+    T <- T - 2 sum(A),    A <- A + (2/N) T,
+
+which is the same oracle-and-diffusion arithmetic at O(r) per subset and
+step instead of O(N). Subsets are enumerated in lexicographic chunks of
+at most _CHUNK_ELEMENTS marked amplitudes (one subset when r is larger),
+so the workspace does not grow with C(N, r). Each chunk is summed with
+np.sum and the chunk subtotals are added exactly (math.fsum), so the
+subset average is run-to-run deterministic.
 """
 from __future__ import annotations
 
@@ -12,8 +23,8 @@ import math
 
 import numpy as np
 
-# Keep chunks of the subset-averaging workspace around 32 MiB of complex128.
-_CHUNK_ELEMENTS = 1 << 21
+# Marked amplitudes per subset-averaging chunk: 1 MiB of complex128.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 def _marked_mass(v: np.ndarray, marked: np.ndarray) -> float:
@@ -48,27 +59,28 @@ def average_trajectory(amps: np.ndarray, r: int, tau_max: int) -> np.ndarray:
     """Success mass after 0..tau_max steps, averaged over every r-subset.
 
     Enumerates all C(dim, r) marked sets; callers are responsible for
-    capping the enumeration size before invoking this.
+    capping the enumeration size before invoking this. Each subset is
+    stepped on its r marked amplitudes and the running total of all
+    amplitudes, which is everything the next marked amplitudes depend on.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     dim = amps.shape[0]
-    rows = max(1, min(4096, _CHUNK_ELEMENTS // dim))
+    count = math.comb(dim, r)
+    rows = max(1, _CHUNK_ELEMENTS // r)
+    start_total = amps.sum()
     partials: list[list[float]] = [[] for _ in range(tau_max + 1)]
-    count = 0
     combos = itertools.combinations(range(dim), r)
-    while True:
-        chunk = list(itertools.islice(combos, rows))
-        if not chunk:
-            break
-        sel = np.array(chunk, dtype=np.intp)            # (k, r)
-        k = sel.shape[0]
-        count += k
-        block = np.repeat(amps[None, :], k, axis=0)     # (k, dim)
-        rix = np.arange(k)[:, None]
-        partials[0].append(float(np.sum(np.abs(block[rix, sel]) ** 2)))
+    for start in range(0, count, rows):
+        k = min(rows, count - start)
+        flat = itertools.chain.from_iterable(itertools.islice(combos, k))
+        sel = np.fromiter(flat, dtype=np.intp, count=k * r).reshape(k, r)
+        marked = np.ascontiguousarray(amps[sel].T)      # (r, k): one column per subset
+        parts = marked.view(np.float64)                  # real and imaginary parts
+        total = np.full(k, start_total)
+        partials[0].append(float(np.sum(parts * parts)))
         for t in range(1, tau_max + 1):
-            block[rix, sel] = -block[rix, sel]
-            block = 2.0 * block.mean(axis=1, keepdims=True) - block
-            partials[t].append(float(np.sum(np.abs(block[rix, sel]) ** 2)))
+            total -= 2.0 * marked.sum(axis=0)
+            marked += (2.0 / dim) * total
+            partials[t].append(float(np.sum(parts * parts)))
     out = np.array([math.fsum(p) for p in partials], dtype=np.float64)
     return out / count

@@ -221,8 +221,10 @@ def average_over_all_sets(
 ) -> float:
     """Success probability after tau steps, averaged over all C(N, r) marked sets.
 
-    Brute force by construction: every subset is simulated with the full
-    state-vector step, never with a closed form.
+    Brute force by construction: every subset is simulated step by step on
+    its marked amplitudes and the total amplitude, which carry the whole
+    oracle-and-diffusion step for the marked indices; never with a closed
+    form.
     """
     return float(average_trajectory_over_all_sets(initial, r, tau, cap)[-1])
 

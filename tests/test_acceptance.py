@@ -19,6 +19,7 @@ from groversim import (
     StateMixture,
     ansatz_coherence_fraction,
     average_over_all_sets,
+    average_trajectory_over_all_sets,
     closed_form_average,
     closed_form_average_mixture,
     coherence_fraction,
@@ -70,6 +71,13 @@ def test_criterion_1_closed_form_equals_brute_force():
                 brute = average_over_all_sets(psi, r, tau)
                 closed = closed_form_average(2**n, r, tau, fc)
                 worst = max(worst, abs(brute - closed))
+    # one cell past the reach of a full state-vector step per subset:
+    # C(1024, 2) = 523,776 marked sets
+    psi = random_state(10, np.random.default_rng([101, 10, 2]))
+    fc = coherence_fraction(psi)
+    brute = average_trajectory_over_all_sets(psi, 2, 8)
+    for tau in range(9):
+        worst = max(worst, abs(brute[tau] - closed_form_average(1024, 2, tau, fc)))
     ok = worst <= 1e-10
     report(1, "subset-average closed form", ok, f"max deviation {worst:.3e} <= 1e-10")
 

@@ -195,6 +195,35 @@ def test_minimize_rejects_out_of_range_objective_n(tmp_path, capsys, objective_n
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["minimize", "--objective-n", "3", "--budget", "0"], "--budget"),
+    (["minimize", "--objective-n", "3", "--growth", "2"], "--growth"),
+    (["minimize", "--objective-n", "3", "--initial-reach", "0.5"], "--initial-reach"),
+    (["minimize", "--objective-n", "3", "--alpha", "0", "--beta", "0", "--theta", "3"], "--theta"),
+    (["run", "--n", "3", "--marked", "1", "--tau", "1",
+      "--alpha", "0", "--beta", "0", "--theta", "3"], "--theta"),
+    (["verify-average", "--n", "2", "--r", "1", "--cap", "-1"], "--cap"),
+])
+def test_bad_values_name_their_flag(tmp_path, capsys, command, flag):
+    assert main(command + ["--out", str(tmp_path / "out")]) == 2
+    assert f"error: {flag} " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_without_a_valid_cell_is_a_usage_error(tmp_path, capsys):
+    assert main(["verify-average", "--n", "3", "--r", "9", "--out", str(tmp_path / "v.csv")]) == 2
+    assert "--r" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_skips_cells_with_r_above_the_dimension(tmp_path):
+    out = tmp_path / "v.csv"
+    assert main(["verify-average", "--n", "1,2", "--r", "3", "--tau", "0",
+                 "--states", "0", "--out", str(out)]) == 0
+    _, _, data = read_csv(out)
+    assert {(row[0], row[1]) for row in data} == {("2", "3")}
+
+
 def test_outputs_are_byte_identical_on_rerun(tmp_path):
     args = ["minimize", "--objective-n", "3", "--seeds", "0,1,2,3", "--out", str(tmp_path / "a")]
     assert main(args) == 0
