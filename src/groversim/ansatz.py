@@ -70,7 +70,7 @@ def prepare_ansatz_state(n: int, p: LocalGateParams) -> PureState:
     zero_pows = np.array([zero_amp**k for k in range(n + 1)], dtype=np.complex128)
     one_pows = np.array([one_amp**k for k in range(n + 1)], dtype=np.complex128)
     labels = np.arange(2**n, dtype=np.uint32)
-    ones = np.array([int(j).bit_count() for j in labels], dtype=np.intp)
+    ones = np.bitwise_count(labels).astype(np.intp)
     amps = zero_pows[n - ones] * one_pows[ones]
     return PureState(n, amps)
 

@@ -4,15 +4,22 @@ One Grover step on an amplitude vector v with marked index set M:
 flip the sign of v on M, then reflect about the mean, v -> 2 mean(v) - v.
 
 The unmarked amplitudes reach the marked ones only through the mean, so
-the all-subsets average steps just the r marked amplitudes A and the
-total T = sum(v) of each subset (Biham et al., PRA 60, 2742, 1999):
+every kernel here steps just the r marked amplitudes A and the total
+T = sum(v) (Biham et al., PRA 60, 2742, 1999):
 
     T <- T - 2 sum(A),    A <- A + (2/N) T,
 
-which is the same oracle-and-diffusion arithmetic at O(r) per subset and
-step instead of O(N). Subsets are enumerated in lexicographic chunks of
-at most _CHUNK_ELEMENTS marked amplitudes (one subset when r is larger),
-so the workspace does not grow with C(N, r). Each chunk is summed with
+which is the same oracle-and-diffusion arithmetic at O(r) per step
+instead of O(N). Every unmarked amplitude x evolves as
+(-1)^t v0[x] + c_t, with one shared scalar c_0 = 0,
+c_{t+1} = (2/N) T_{t+1} - c_t, so a final state vector costs one O(N)
+assembly after the steps. A marked index set must hold distinct in-range
+indices (MarkedSet guarantees both): a repeated index would be counted
+twice in sum(A).
+
+The all-subsets average enumerates subsets in lexicographic chunks of at
+most _CHUNK_ELEMENTS marked amplitudes (one subset when r is larger), so
+the workspace does not grow with C(N, r). Each chunk is summed with
 np.sum and the chunk subtotals are added exactly (math.fsum), so the
 subset average is run-to-run deterministic.
 """
@@ -27,31 +34,47 @@ import numpy as np
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def _marked_mass(v: np.ndarray, marked: np.ndarray) -> float:
-    picked = v[marked]
-    return float(np.real(np.vdot(picked, picked)))
-
-
 def grover_evolve(amps: np.ndarray, marked, tau: int) -> np.ndarray:
-    """Amplitudes after tau Grover steps with the given marked indices."""
-    v = np.array(amps, dtype=np.complex128)
-    marked = np.asarray(marked, dtype=np.int64)
+    """Amplitudes after tau Grover steps with the given marked indices.
+
+    `marked` must hold distinct indices in [0, len(amps)). The input is
+    never written; tau = 0 returns a copy of it.
+    """
+    out = np.array(amps, dtype=np.complex128)
+    if tau == 0:
+        return out
+    dim = out.shape[0]
+    marked = np.asarray(marked, dtype=np.intp)
+    picked = out[marked]
+    total = out.sum()
+    shift = 0.0
     for _ in range(tau):
-        v[marked] = -v[marked]
-        v = 2.0 * v.mean() - v
-    return v
+        total -= 2.0 * picked.sum()
+        picked += (2.0 / dim) * total
+        shift = (2.0 / dim) * total - shift
+    if tau % 2:
+        np.negative(out, out=out)
+    out += shift
+    out[marked] = picked
+    return out
 
 
 def success_trajectory(amps: np.ndarray, marked, tau_max: int) -> np.ndarray:
-    """Marked-index probability mass after 0..tau_max Grover steps."""
-    v = np.array(amps, dtype=np.complex128)
-    marked = np.asarray(marked, dtype=np.int64)
+    """Marked-index probability mass after 0..tau_max Grover steps.
+
+    `marked` must hold distinct indices in [0, len(amps)).
+    """
+    amps = np.asarray(amps, dtype=np.complex128)
+    dim = amps.shape[0]
+    picked = amps[np.asarray(marked, dtype=np.intp)]
+    parts = picked.view(np.float64)                      # real and imaginary parts
+    total = amps.sum()
     out = np.empty(tau_max + 1, dtype=np.float64)
-    out[0] = _marked_mass(v, marked)
+    out[0] = np.sum(parts * parts)
     for t in range(1, tau_max + 1):
-        v[marked] = -v[marked]
-        v = 2.0 * v.mean() - v
-        out[t] = _marked_mass(v, marked)
+        total -= 2.0 * picked.sum()
+        picked += (2.0 / dim) * total
+        out[t] = np.sum(parts * parts)
     return out
 
 

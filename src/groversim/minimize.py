@@ -111,7 +111,7 @@ class SearchSchedule:
     def __post_init__(self) -> None:
         if not 1.0 < self.growth <= 4.0 / 3.0:
             raise ValueError(f"growth factor must lie in (1, 4/3], got {self.growth!r}")
-        if self.initial_reach < 1.0:
+        if not self.initial_reach >= 1.0:
             raise ValueError(f"initial reach must be >= 1, got {self.initial_reach!r}")
         if self.max_oracle_calls is not None and self.max_oracle_calls <= 0:
             raise ValueError(f"oracle budget must be positive, got {self.max_oracle_calls!r}")
@@ -159,7 +159,7 @@ def threshold_marked_set(table: ObjectiveTable, d: float) -> MarkedSet | None:
     below = np.flatnonzero(table.values < d)
     if below.size == 0:
         return None
-    return MarkedSet(tuple(int(i) for i in below))
+    return MarkedSet(tuple(below.tolist()))
 
 
 def sample_measurement(state: PureState, rng: np.random.Generator) -> int:

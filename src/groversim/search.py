@@ -31,12 +31,12 @@ class EnumerationCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class MarkedSet:
-    """Non-empty set of marked basis indices, stored sorted and deduplicated."""
+    """Non-empty set of distinct marked basis indices, stored sorted."""
 
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(sorted(int(i) for i in self.indices))
+        idx = tuple(sorted(map(int, self.indices)))
         if not idx:
             raise ValueError("marked set must be non-empty")
         if idx[0] < 0:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from groversim import PureState
+
+# Property tests draw the same examples on every run, whatever ran before.
+settings.register_profile("groversim", derandomize=True)
+settings.load_profile("groversim")
 
 
 def random_state(n: int, rng: np.random.Generator) -> PureState:

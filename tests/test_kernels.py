@@ -3,19 +3,31 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groversim import LocalGateParams, basis_state, equal_superposition, kernels, prepare_ansatz_state
 from conftest import random_state
 
 
-def test_trajectory_agrees_with_stepwise_evolve(rng):
-    amps = random_state(4, rng).amplitudes
-    marked = np.array([0, 9], dtype=np.int64)
-    traj = kernels.success_trajectory(amps, marked, 5)
-    for t in range(6):
-        v = kernels.grover_evolve(amps, marked, t)
-        expected = np.sum(np.abs(v[marked]) ** 2)
-        assert abs(traj[t] - expected) < 1e-13
+def _dense_runs(amps, marked_sets, tau):
+    """State vectors after 0..tau steps, indexed [step, marked set, amplitude].
+
+    The dense reference every kernel is checked against: each step flips
+    the marked amplitudes of the whole vector, then reflects all of them
+    about their mean.
+    """
+    dim = len(amps)
+    flip = np.zeros((len(marked_sets), dim), dtype=bool)
+    for row, marked in zip(flip, marked_sets):
+        row[list(marked)] = True
+    v = np.repeat(np.asarray(amps, dtype=np.complex128)[None, :], len(marked_sets), axis=0)
+    runs = [v]
+    for _ in range(tau):
+        v = np.where(flip, -v, v)
+        v = 2.0 * v.mean(axis=1, keepdims=True) - v
+        runs.append(v)
+    return np.array(runs), flip
 
 
 def _edge_states(n, rng):
@@ -27,23 +39,64 @@ def _edge_states(n, rng):
     }
 
 
-def test_average_matches_naive_enumeration(rng):
-    # the dense reference: every subset stepped on the full state vector
+def _edge_cells(rng):
+    """Every edge state and r at n = 3, 4 with all its marked sets."""
     for n in (3, 4):
         dim = 2**n
         for kind, amps in _edge_states(n, rng).items():
             for r in (1, 2, dim - 1, dim):
                 combos = list(itertools.combinations(range(dim), r))
-                naive = sum(
-                    kernels.success_trajectory(amps, np.array(c, dtype=np.int64), 200)
-                    for c in combos
-                ) / len(combos)
-                for tau in (0, 1, 200):
-                    got = kernels.average_trajectory(amps, r, tau)
-                    np.testing.assert_allclose(
-                        got, naive[: tau + 1], rtol=0, atol=1e-12,
-                        err_msg=f"{kind} state, n={n} r={r} tau={tau}",
-                    )
+                yield f"{kind} state, n={n} r={r}", amps, r, combos
+
+
+def test_trajectory_agrees_with_stepwise_evolve(rng):
+    for label, amps, _, combos in _edge_cells(rng):
+        # a spread of marked sets, the last one included; the average test takes all
+        picked = combos[:: max(1, len(combos) // 3)] + combos[-1:]
+        runs, flip = _dense_runs(amps, picked, 200)
+        masses = np.sum(np.abs(runs) ** 2, axis=2, where=flip)
+        for i, c in enumerate(picked):
+            marked = np.array(c, dtype=np.int64)
+            for tau in (0, 1, 200):
+                msg = f"{label} marked={c} tau={tau}"
+                np.testing.assert_allclose(
+                    kernels.success_trajectory(amps, marked, tau), masses[: tau + 1, i],
+                    rtol=0, atol=1e-12, err_msg=msg,
+                )
+                np.testing.assert_allclose(
+                    kernels.grover_evolve(amps, marked, tau), runs[tau, i],
+                    rtol=0, atol=1e-12, err_msg=msg,
+                )
+
+
+def test_average_matches_naive_enumeration(rng):
+    for label, amps, r, combos in _edge_cells(rng):
+        runs, flip = _dense_runs(amps, combos, 200)
+        naive = np.sum(np.abs(runs) ** 2, axis=2, where=flip).mean(axis=1)
+        for tau in (0, 1, 200):
+            got = kernels.average_trajectory(amps, r, tau)
+            np.testing.assert_allclose(
+                got, naive[: tau + 1], rtol=0, atol=1e-12, err_msg=f"{label} tau={tau}",
+            )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    tau=st.integers(0, 60),
+    data=st.data(),
+)
+def test_evolve_matches_dense_steps_on_random_marked_sets(seed, n, tau, data):
+    dim = 2**n
+    marked = data.draw(
+        st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True)
+    )
+    amps = random_state(n, np.random.default_rng(seed)).amplitudes
+    np.testing.assert_allclose(
+        kernels.grover_evolve(amps, marked, tau), _dense_runs(amps, [marked], tau)[0][-1, 0],
+        rtol=0, atol=1e-12,
+    )
 
 
 def test_average_chunking_perturbs_nothing_beyond_roundoff(rng, monkeypatch):
@@ -75,10 +128,10 @@ def test_average_workspace_is_bounded_at_the_largest_r(rng, monkeypatch, r):
     else:
         # the oracle marking all but index i is minus the one marking i, so
         # the two runs differ by a global sign and their masses add up to 1
-        rest = sum(
-            kernels.success_trajectory(amps, np.array([i], dtype=np.int64), 2)
-            for i in range(1024)
-        ) / 1024
+        rest = np.mean(
+            [np.abs(_dense_runs(amps, [(i,)], 2)[0][:, 0, i]) ** 2 for i in range(1024)],
+            axis=0,
+        )
         np.testing.assert_allclose(got, 1.0 - rest, rtol=0, atol=1e-12)
 
 

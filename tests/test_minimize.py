@@ -153,6 +153,8 @@ def test_schedule_validation():
         SearchSchedule(growth=1.5)
     with pytest.raises(ValueError, match="reach"):
         SearchSchedule(initial_reach=0.5)
+    with pytest.raises(ValueError, match="reach"):
+        SearchSchedule(initial_reach=float("nan"))
     with pytest.raises(ValueError, match="budget"):
         SearchSchedule(max_oracle_calls=0)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from groversim import (
     EnumerationCapError,
+    LocalGateParams,
     MarkedSet,
     PureState,
     SearchConfig,
@@ -18,6 +19,7 @@ from groversim import (
     equal_superposition,
     evolve_subspace,
     grover_iterate,
+    prepare_ansatz_state,
     run_search,
     subspace_basis,
     subspace_decompose,
@@ -224,6 +226,23 @@ def test_subspace_evolution_matches_full_simulation(rng):
         assert coords.success_mass() == pytest.approx(
             success_probability(psi, m, tau), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("start", ["uniform", "ansatz"])
+@pytest.mark.parametrize("marked", [(12_345,), (0, 2**19 + 7, 2**20 - 1)])
+def test_run_search_matches_subspace_model_at_twenty_qubits(start, marked):
+    n, tau = 20, 5_000
+    psi = (
+        equal_superposition(n)
+        if start == "uniform"
+        else prepare_ansatz_state(n, LocalGateParams(0.2, 0.25, 0.78))
+    )
+    m = MarkedSet(marked)
+    trace = run_search(psi, m, tau).per_iteration_success
+    coords = subspace_decompose(psi, m)
+    for t in range(0, tau + 1, 100):
+        expected = evolve_subspace(coords, SearchConfig(n, m.r, t)).success_mass()
+        assert trace[t] == pytest.approx(expected, abs=1e-10), f"step {t}"
 
 
 def test_subspace_evolution_at_zero_steps_is_identity(rng):
