@@ -38,12 +38,12 @@ class SmallDensityMatrix:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1 or m.shape[0] > SMALL_DENSITY_CAP:
             raise ValueError(f"dimension must lie in [1, {SMALL_DENSITY_CAP}], got {m.shape[0]}")
-        if np.abs(m - m.conj().T).max() > _HERMITIAN_ATOL:
+        if not np.abs(m - m.conj().T).max() <= _HERMITIAN_ATOL:
             raise ValueError("matrix is not Hermitian")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > _HERMITIAN_ATOL:
+        if not abs(tr - 1.0) <= _HERMITIAN_ATOL:
             raise ValueError(f"trace is {tr!r}, expected 1")
-        if float(np.linalg.eigvalsh(m).min()) < -_PSD_ATOL:
+        if not float(np.linalg.eigvalsh(m).min()) >= -_PSD_ATOL:
             raise ValueError("matrix has a negative eigenvalue beyond tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

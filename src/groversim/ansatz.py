@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import MAX_QUBITS, PureState, SingleQubitGate
+from .states import PureState, SingleQubitGate, check_qubit_count
 
 _TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class LocalGateParams:
-    """Phases alpha, beta (any reals) and mixing angle theta in [0, pi/2]."""
+    """Phases alpha, beta (any finite reals) and mixing angle theta in [0, pi/2]."""
 
     alpha: float
     beta: float
@@ -31,6 +31,9 @@ class LocalGateParams:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "theta", float(self.theta))
+        for name in ("alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"phase {name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 <= self.theta <= math.pi / 2.0:
             raise ValueError(f"mixing angle must lie in [0, pi/2], got {self.theta!r}")
 
@@ -63,8 +66,7 @@ def prepare_ansatz_state(n: int, p: LocalGateParams) -> PureState:
     with z_j the number of zero bits in j; the circuit route through
     apply_product_unitary reproduces this to round-off.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be an int in [1, {MAX_QUBITS}], got {n!r}")
+    check_qubit_count(n)
     zero_amp = cmath.exp(1j * p.alpha) * math.cos(p.theta)
     one_amp = cmath.exp(1j * p.beta) * math.sin(p.theta)
     zero_pows = np.array([zero_amp**k for k in range(n + 1)], dtype=np.complex128)
@@ -77,8 +79,7 @@ def prepare_ansatz_state(n: int, p: LocalGateParams) -> PureState:
 
 def ansatz_coherence_fraction(n: int, p: LocalGateParams) -> float:
     """f_c of the ansatz state: |(e^{ia} cos t + e^{ib} sin t)^n|^2 / 2^n."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be an int in [1, {MAX_QUBITS}], got {n!r}")
+    check_qubit_count(n)
     base = cmath.exp(1j * p.alpha) * math.cos(p.theta) + cmath.exp(1j * p.beta) * math.sin(p.theta)
     return abs(base**n) ** 2 / 2**n
 

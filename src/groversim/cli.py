@@ -16,6 +16,8 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +44,7 @@ from .search import (
     average_trajectory_over_all_sets,
     run_search,
 )
-from .states import MAX_QUBITS, PureState, basis_state, equal_superposition
+from .states import PureState, basis_state, check_qubit_count, equal_superposition
 
 DEVIATION_THRESHOLD = 1e-10
 
@@ -101,28 +103,73 @@ def _meta(command: str, params: dict) -> dict:
     return {"tool": "groversim", "version": __version__, "command": command, **params}
 
 
-def _parse_int_list(text: str, name: str, minimum: int = 0) -> list[int]:
-    try:
-        values = [int(part) for part in str(text).split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"{name} must be a comma-separated list of ints, got {text!r}")
-    if not values:
-        raise ValueError(f"{name} must be non-empty")
-    for v in values:
-        if v < minimum:
-            raise ValueError(f"{name} entries must be >= {minimum}, got {v}")
-    return values
+# Flag converters, for argparse's type=. Each turns a flag's text into its value.
+# A ValueError, raised here or by the library object a converter builds, becomes
+# an argparse error, so the message the user sees starts with the flag's name.
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    parts = str(text).split(":")
+def _flag_type(convert):
+    """Let argparse report convert's ValueError as a usage error of the flag."""
+    def checked(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return checked
+
+
+def _number(kind, minimum=None):
+    @_flag_type
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not {'an int' if kind is int else 'a number'}") from None
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {value}")
+        return value
+    return convert
+
+
+_int, _float = _number(int), _number(float)
+
+
+def _list_of(convert):
+    @_flag_type
+    def convert_list(text: str) -> list:
+        values = [convert(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise ValueError(f"must be a non-empty comma-separated list, got {text!r}")
+        return values
+    return convert_list
+
+
+def _field_of(cls, name: str, parse, **others):
+    """Check one field by building cls(**others, name=value); return the field."""
+    return _flag_type(lambda text: getattr(cls(**{**others, name: parse(text)}), name))
+
+
+_qubits = _flag_type(lambda text: check_qubit_count(_int(text)))
+_marked = _flag_type(lambda text: MarkedSet(tuple(_list_of(_int)(text))))
+
+
+def _grid_points(text: str) -> np.ndarray:
+    parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid must look like start:stop:count, got {text!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+        raise ValueError(f"must look like start:stop:count, got {text!r}")
+    start, stop, count = _float(parts[0]), _float(parts[1]), _int(parts[2])
     if count < 2:
-        raise ValueError(f"grid needs at least 2 points, got {count}")
+        raise ValueError(f"needs at least 2 points, got {count}")
+    if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
+        raise ValueError(f"must stay inside [0, 1], got {text!r}")
     return np.linspace(start, stop, count)
+
+
+@_flag_type
+def _fc_grid(text: str) -> str:
+    """Check the grid; keep the text, which the metadata records."""
+    _grid_points(text)
+    return text
 
 
 def _random_state(n: int, rng: np.random.Generator) -> PureState:
@@ -140,41 +187,14 @@ def _ansatz_params(args) -> LocalGateParams | None:
         raise ValueError("--uniform cannot be combined with --alpha/--beta/--theta")
     if any(a is None for a in angles):
         raise ValueError("--alpha, --beta, --theta must be given together")
-    if not 0.0 <= args.theta <= math.pi / 2.0:
-        raise ValueError(f"--theta must lie in [0, pi/2], got {args.theta}")
     return LocalGateParams(*angles)
-
-
-def _initial_state(args, n: int) -> tuple[PureState, dict]:
-    """Build the prepared state from --alpha/--beta/--theta or --uniform."""
-    params = _ansatz_params(args)
-    if params is None:
-        return equal_superposition(n), {"initial": "uniform"}
-    return prepare_ansatz_state(n, params), {
-        "initial": "ansatz",
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "theta": params.theta,
-    }
 
 
 def cmd_verify_average(args) -> int:
     """Sweep brute-force subset averages against the closed form."""
-    ns = _parse_int_list(args.n, "--n", minimum=1)
-    rs = _parse_int_list(args.r, "--r", minimum=1)
-    for n in ns:
-        if n > MAX_QUBITS:
-            raise ValueError(f"--n entries must be <= {MAX_QUBITS}, got {n}")
-    if args.tau < 0:
-        raise ValueError(f"--tau must be >= 0, got {args.tau}")
-    if args.states < 0:
-        raise ValueError(f"--states must be >= 0, got {args.states}")
-    if args.cap < 1:
-        raise ValueError(f"--cap must be >= 1, got {args.cap}")
-
-    cells = [(n, r) for n in ns for r in rs if r <= 2**n]
+    cells = [(n, r) for n in args.n for r in args.r if r <= 2**n]
     if not cells:
-        raise ValueError(f"every --r entry exceeds N = 2**n = {2**max(ns)} for the largest --n")
+        raise ValueError(f"every --r entry exceeds N = 2**n = {2**max(args.n)} for the largest --n")
 
     def sweep_cell(cell: tuple[int, int]) -> list[tuple]:
         n, r = cell
@@ -200,7 +220,7 @@ def cmd_verify_average(args) -> int:
     meta = _meta(
         "verify-average",
         {
-            "n": ns, "r": rs, "tau": args.tau, "states": args.states,
+            "n": args.n, "r": args.r, "tau": args.tau, "states": args.states,
             "seed": args.seed, "cap": args.cap, "format": args.format,
             "max_deviation": max_dev, "threshold": DEVIATION_THRESHOLD,
         },
@@ -218,39 +238,28 @@ def cmd_verify_average(args) -> int:
 
 def cmd_optimal_curves(args) -> int:
     """Idealized optimal average success vs coherence fraction, per r."""
-    if not 1 <= args.n <= MAX_QUBITS:
-        raise ValueError(f"--n must lie in [1, {MAX_QUBITS}], got {args.n}")
     dim = 2**args.n
-    rs = _parse_int_list(args.r, "--r", minimum=1)
-    for r in rs:
+    for r in args.r:
         if r > dim:
             raise ValueError(f"--r entries must be <= {dim}, got {r}")
-    fc_grid = _parse_grid(args.fc_grid)
-    if fc_grid.min() < 0.0 or fc_grid.max() > 1.0:
-        raise ValueError("--fc-grid must stay inside [0, 1]")
+    fc_grid = _grid_points(args.fc_grid)
 
     rows = [
         (r, float(fc), optimal_average(dim, r, float(fc)))
-        for r in rs
+        for r in args.r
         for fc in fc_grid
     ]
     meta = _meta(
         "optimal-curves",
-        {"n": args.n, "r": rs, "fc_grid": args.fc_grid, "format": args.format},
+        {"n": args.n, "r": args.r, "fc_grid": args.fc_grid, "format": args.format},
     )
     _write_table(Path(args.out), args.format, meta, ["r", "fc", "p_opt"], rows)
-    print(f"optimal-curves: wrote {len(rows)} rows for N={dim}, r in {rs}")
+    print(f"optimal-curves: wrote {len(rows)} rows for N={dim}, r in {args.r}")
     return 0
 
 
 def cmd_ansatz_grid(args) -> int:
     """Two gridded slices of the ansatz optimum: phase plane and mixing angle."""
-    if not 1 <= args.n <= MAX_QUBITS:
-        raise ValueError(f"--n must lie in [1, {MAX_QUBITS}], got {args.n}")
-    if args.points < 2:
-        raise ValueError(f"--points must be >= 2, got {args.points}")
-    mix_ns = _parse_int_list(args.mixing_n, "--mixing-n", minimum=1)
-
     phase_axis = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
     phase_rows = [
         (args.n, float(a), float(b), optimal_success_vs_phases(args.n, float(a), float(b)))
@@ -260,7 +269,7 @@ def cmd_ansatz_grid(args) -> int:
     theta_axis = np.linspace(0.0, math.pi / 2.0, args.points)
     mixing_rows = [
         (n, float(t), optimal_success_vs_mixing(n, float(t)))
-        for n in mix_ns
+        for n in args.mixing_n
         for t in theta_axis
     ]
 
@@ -276,7 +285,7 @@ def cmd_ansatz_grid(args) -> int:
     )
     _write_table(
         mixing_path, args.format,
-        _meta("ansatz-grid", {**common, "block": "mixing", "n": mix_ns}),
+        _meta("ansatz-grid", {**common, "block": "mixing", "n": args.mixing_n}),
         ["n", "theta", "p"], mixing_rows,
     )
     print(
@@ -288,13 +297,16 @@ def cmd_ansatz_grid(args) -> int:
 
 def cmd_run(args) -> int:
     """One search run with the success trace recorded every step."""
-    if not 1 <= args.n <= MAX_QUBITS:
-        raise ValueError(f"--n must lie in [1, {MAX_QUBITS}], got {args.n}")
-    if args.tau < 0:
-        raise ValueError(f"--tau must be >= 0, got {args.tau}")
-    marked = MarkedSet(tuple(_parse_int_list(args.marked, "--marked", minimum=0)))
-    marked.validate_for(2**args.n)
-    state, state_meta = _initial_state(args, args.n)
+    marked = args.marked
+    try:
+        marked.validate_for(2**args.n)
+    except ValueError as exc:
+        raise ValueError(f"--marked {exc}") from None
+    params = _ansatz_params(args)
+    if params is None:
+        state, state_meta = equal_superposition(args.n), {"initial": "uniform"}
+    else:
+        state, state_meta = prepare_ansatz_state(args.n, params), {"initial": "ansatz", **asdict(params)}
 
     report = run_search(state, marked, args.tau)
     payload = {
@@ -312,25 +324,16 @@ def cmd_run(args) -> int:
 
 def cmd_minimize(args) -> int:
     """Threshold-descent minimization over seeds, with an aggregate summary."""
-    if args.budget is not None and args.budget <= 0:
-        raise ValueError(f"--budget must be positive, got {args.budget}")
-    if not 1.0 < args.growth <= 4.0 / 3.0:
-        raise ValueError(f"--growth must lie in (1, 4/3], got {args.growth}")
-    if not args.initial_reach >= 1.0:
-        raise ValueError(f"--initial-reach must be >= 1, got {args.initial_reach}")
     if args.objective:
         table = ObjectiveTable.from_csv(args.objective)
         objective_meta = {"objective": str(args.objective)}
     else:
-        if not 1 <= args.objective_n <= MAX_QUBITS:
-            raise ValueError(f"--objective-n must lie in [1, {MAX_QUBITS}], got {args.objective_n}")
         table = make_objective(args.generator, args.objective_n, args.objective_seed)
         objective_meta = {
             "objective": f"generator:{args.generator}",
             "objective_n": args.objective_n,
             "objective_seed": args.objective_seed,
         }
-    seeds = _parse_int_list(args.seeds, "--seeds", minimum=0)
     schedule = SearchSchedule(
         growth=args.growth,
         initial_reach=args.initial_reach,
@@ -338,7 +341,7 @@ def cmd_minimize(args) -> int:
     )
     init_params = _ansatz_params(args)
 
-    reports = [run_minimization(table, init_params, schedule, seed) for seed in seeds]
+    reports = [run_minimization(table, init_params, schedule, seed) for seed in args.seeds]
     true_min = float(table.values.min())
     hits = [rep.result_value == true_min for rep in reports]
     rate = sum(hits) / len(reports)
@@ -347,7 +350,7 @@ def cmd_minimize(args) -> int:
         "minimize",
         {
             **objective_meta,
-            "n": table.n, "seeds": seeds, "growth": schedule.growth,
+            "n": table.n, "seeds": args.seeds, "growth": schedule.growth,
             "initial_reach": schedule.initial_reach, "budget": schedule.max_oracle_calls,
             "initial": "uniform" if init_params is None else "ansatz",
         },
@@ -383,30 +386,37 @@ def cmd_minimize(args) -> int:
 
 
 def _add_state_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, default=None, help="ansatz phase alpha (radians)")
-    sub.add_argument("--beta", type=float, default=None, help="ansatz phase beta (radians)")
-    sub.add_argument("--theta", type=float, default=None, help="ansatz mixing angle in [0, pi/2]")
+    def angle(name: str):
+        return _field_of(LocalGateParams, name, _float, alpha=0.0, beta=0.0, theta=0.0)
+
+    sub.add_argument("--alpha", type=angle("alpha"), default=None, help="ansatz phase alpha (radians)")
+    sub.add_argument("--beta", type=angle("beta"), default=None, help="ansatz phase beta (radians)")
+    sub.add_argument("--theta", type=angle("theta"), default=None, help="ansatz mixing angle in [0, pi/2]")
     sub.add_argument("--uniform", action="store_true", help="use the uniform initial state")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # exit_on_error=False: main reports a bad flag itself and returns 2.
     parser = argparse.ArgumentParser(
         prog="groversim",
         description="Grover search simulation and closed-form analytics for arbitrary initial states.",
+        exit_on_error=False,
     )
     parser.add_argument("--version", action="version", version=f"groversim {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=partial(argparse.ArgumentParser, exit_on_error=False))
 
     p = subs.add_parser(
         "verify-average",
         help="check the all-subsets brute-force average against the closed form",
     )
-    p.add_argument("--n", default="1,2,3,4,5", help="comma-separated qubit counts")
-    p.add_argument("--r", default="1,2,3", help="comma-separated marked-set sizes")
-    p.add_argument("--tau", type=int, default=8, help="largest step count (sweeps 0..tau)")
-    p.add_argument("--states", type=int, default=20, help="random initial states per cell")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed for the random states")
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="subset enumeration cap")
+    p.add_argument("--n", type=_list_of(_qubits), default="1,2,3,4,5", help="comma-separated qubit counts")
+    p.add_argument("--r", type=_list_of(_number(int, 1)), default="1,2,3",
+                   help="comma-separated marked-set sizes")
+    p.add_argument("--tau", type=_number(int, 0), default=8, help="largest step count (sweeps 0..tau)")
+    p.add_argument("--states", type=_number(int, 0), default=20, help="random initial states per cell")
+    p.add_argument("--seed", type=_number(int, 0), default=0, help="base RNG seed for the random states")
+    p.add_argument("--cap", type=_number(int, 1), default=ENUMERATION_CAP, help="subset enumeration cap")
     p.add_argument("--out", required=True, help="output file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_verify_average)
@@ -415,9 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
         "optimal-curves",
         help="idealized optimal average success vs coherence fraction",
     )
-    p.add_argument("--n", type=int, default=5, help="qubit count (N = 2**n)")
-    p.add_argument("--r", default="1,2,3,4,10", help="comma-separated marked-set sizes")
-    p.add_argument("--fc-grid", default="0:1:101", help="coherence-fraction grid start:stop:count")
+    p.add_argument("--n", type=_qubits, default=5, help="qubit count (N = 2**n)")
+    p.add_argument("--r", type=_list_of(_number(int, 1)), default="1,2,3,4,10",
+                   help="comma-separated marked-set sizes")
+    p.add_argument("--fc-grid", type=_fc_grid, default="0:1:101",
+                   help="coherence-fraction grid start:stop:count")
     p.add_argument("--out", required=True, help="output file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_optimal_curves)
@@ -426,17 +438,18 @@ def build_parser() -> argparse.ArgumentParser:
         "ansatz-grid",
         help="gridded ansatz optimum: phase plane at theta=pi/4 and mixing-angle slice",
     )
-    p.add_argument("--n", type=int, default=2, help="qubit count for the phase block")
-    p.add_argument("--mixing-n", default="2,3,4", help="qubit counts for the mixing block")
-    p.add_argument("--points", type=int, default=101, help="grid points per axis")
+    p.add_argument("--n", type=_qubits, default=2, help="qubit count for the phase block")
+    p.add_argument("--mixing-n", type=_list_of(_qubits), default="2,3,4",
+                   help="qubit counts for the mixing block")
+    p.add_argument("--points", type=_number(int, 2), default=101, help="grid points per axis")
     p.add_argument("--out", required=True, help="output prefix; writes <out>_phases and <out>_mixing")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_ansatz_grid)
 
     p = subs.add_parser("run", help="single search run with per-step success trace")
-    p.add_argument("--n", type=int, required=True, help="qubit count")
-    p.add_argument("--marked", required=True, help="comma-separated marked indices")
-    p.add_argument("--tau", type=int, required=True, help="number of Grover steps")
+    p.add_argument("--n", type=_qubits, required=True, help="qubit count")
+    p.add_argument("--marked", type=_marked, required=True, help="comma-separated marked indices")
+    p.add_argument("--tau", type=_number(int, 0), required=True, help="number of Grover steps")
     _add_state_flags(p)
     p.add_argument("--out", default=None, help="output JSON file (stdout when omitted)")
     p.set_defaults(func=cmd_run)
@@ -445,12 +458,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", default=None, help="objective CSV file (index,value with header)")
     p.add_argument("--generator", choices=GENERATOR_KINDS, default="permutation",
                    help="built-in objective generator (ignored when --objective is given)")
-    p.add_argument("--objective-n", type=int, default=6, help="generator qubit count")
-    p.add_argument("--objective-seed", type=int, default=0, help="generator seed")
-    p.add_argument("--seeds", default="0", help="comma-separated run seeds")
-    p.add_argument("--budget", type=int, default=None, help="oracle-call budget (unlimited when omitted)")
-    p.add_argument("--growth", type=float, default=6.0 / 5.0, help="reach growth factor in (1, 4/3]")
-    p.add_argument("--initial-reach", type=float, default=1.0, help="starting reach (>= 1)")
+    p.add_argument("--objective-n", type=_qubits, default=6, help="generator qubit count")
+    p.add_argument("--objective-seed", type=_number(int, 0), default=0, help="generator seed")
+    p.add_argument("--seeds", type=_list_of(_number(int, 0)), default="0", help="comma-separated run seeds")
+    p.add_argument("--budget", type=_field_of(SearchSchedule, "max_oracle_calls", _int), default=None,
+                   help="oracle-call budget (unlimited when omitted)")
+    p.add_argument("--growth", type=_field_of(SearchSchedule, "growth", _float), default=6.0 / 5.0,
+                   help="reach growth factor in (1, 4/3]")
+    p.add_argument("--initial-reach", type=_field_of(SearchSchedule, "initial_reach", _float), default=1.0,
+                   help="starting reach (>= 1)")
     _add_state_flags(p)
     p.add_argument("--out", required=True, help="output prefix; writes <out>.json and <out>_summary.csv")
     p.set_defaults(func=cmd_minimize)
@@ -459,15 +475,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except argparse.ArgumentError as exc:
+        message = " ".join(filter(None, (exc.argument_name, exc.message)))
+    except (ValueError, OSError, EnumerationCapError) as exc:
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def entry_point() -> None:

@@ -20,7 +20,7 @@ from . import kernels
 from .analytics import closed_form_average
 from .ansatz import LocalGateParams, prepare_ansatz_state
 from .search import MarkedSet
-from .states import MAX_QUBITS, PureState, equal_superposition
+from .states import PureState, check_qubit_count, equal_superposition
 
 GENERATOR_KINDS = ("permutation", "uniform", "constant")
 
@@ -33,8 +33,7 @@ class ObjectiveTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be an int in [1, {MAX_QUBITS}], got {self.n!r}")
+        check_qubit_count(self.n)
         vals = np.array(self.values, dtype=np.float64, copy=True)
         if vals.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} values for n={self.n}, got shape {vals.shape}")
@@ -86,8 +85,7 @@ def make_objective(kind: str, n: int, seed: int) -> ObjectiveTable:
     """Built-in generators: 'permutation' of 0..N-1, 'uniform' reals, 'constant'."""
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown objective generator {kind!r}; choose from {GENERATOR_KINDS}")
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be an int in [1, {MAX_QUBITS}], got {n!r}")
+    check_qubit_count(n)
     dim = 2**n
     rng = np.random.default_rng([seed, dim])
     if kind == "permutation":

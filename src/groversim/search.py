@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from . import kernels
-from .states import MAX_QUBITS, PureState, success_mass
+from .states import PureState, check_qubit_count, success_mass
 
 ENUMERATION_CAP = 10_000_000
 DEGENERATE_ATOL = 1e-14
@@ -44,10 +43,6 @@ class MarkedSet:
         if len(set(idx)) != len(idx):
             raise ValueError("marked indices must be distinct")
         object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int]) -> "MarkedSet":
-        return cls(tuple(indices))
 
     @property
     def r(self) -> int:
@@ -75,8 +70,7 @@ class SearchConfig:
     vartheta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be an int in [1, {MAX_QUBITS}], got {self.n!r}")
+        check_qubit_count(self.n)
         dim = 2**self.n
         if not isinstance(self.r, int) or not 1 <= self.r <= dim:
             raise ValueError(f"marked count must be an int in [1, {dim}], got {self.r!r}")

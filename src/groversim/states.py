@@ -17,6 +17,13 @@ MAX_QUBITS = 20
 NORM_ATOL = 1e-10
 
 
+def check_qubit_count(n) -> int:
+    """Return n if it is an int in [1, MAX_QUBITS]; raise ValueError otherwise."""
+    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be an int in [1, {MAX_QUBITS}], got {n!r}")
+    return n
+
+
 def _frozen_complex(values: np.ndarray | Sequence[complex]) -> np.ndarray:
     out = np.array(values, dtype=np.complex128, copy=True)
     out.setflags(write=False)
@@ -35,13 +42,12 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be an int in [1, {MAX_QUBITS}], got {self.n!r}")
+        check_qubit_count(self.n)
         amps = _frozen_complex(self.amplitudes)
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got shape {amps.shape}")
         norm_sq = float(np.real(np.vdot(amps, amps)))
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise ValueError(f"state is not normalized: sum |a_x|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -61,7 +67,7 @@ class SingleQubitGate:
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
         defect = np.abs(m @ m.conj().T - np.eye(2)).max()
-        if defect > NORM_ATOL:
+        if not defect <= NORM_ATOL:
             raise ValueError(f"matrix is not unitary: max |U U+ - I| = {defect:.3e}")
         object.__setattr__(self, "matrix", m)
 
@@ -103,8 +109,7 @@ class StateMixture:
 
 def basis_state(n: int, index: int = 0) -> PureState:
     """The computational basis state |index> on n qubits."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be an int in [1, {MAX_QUBITS}], got {n!r}")
+    check_qubit_count(n)
     if not 0 <= index < 2**n:
         raise ValueError(f"basis index {index} out of range for n={n}")
     amps = np.zeros(2**n, dtype=np.complex128)
@@ -114,8 +119,7 @@ def basis_state(n: int, index: int = 0) -> PureState:
 
 def equal_superposition(n: int) -> PureState:
     """The uniform superposition |eta> with every amplitude 1/sqrt(2**n)."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be an int in [1, {MAX_QUBITS}], got {n!r}")
+    check_qubit_count(n)
     dim = 2**n
     return PureState(n, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 

@@ -1,10 +1,15 @@
+import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from groversim.cli import main
+import groversim
+from groversim.cli import build_parser, main
 
 
 def read_csv(path):
@@ -203,11 +208,71 @@ def test_minimize_rejects_out_of_range_objective_n(tmp_path, capsys, objective_n
     (["run", "--n", "3", "--marked", "1", "--tau", "1",
       "--alpha", "0", "--beta", "0", "--theta", "3"], "--theta"),
     (["verify-average", "--n", "2", "--r", "1", "--cap", "-1"], "--cap"),
+    (["verify-average", "--n", "2", "--r", "1", "--seed", "-1"], "--seed"),
+    (["minimize", "--objective-n", "3", "--objective-seed", "-5"], "--objective-seed"),
+    (["optimal-curves", "--fc-grid", "0:1:x"], "--fc-grid"),
+    (["optimal-curves", "--fc-grid", "a:1:3"], "--fc-grid"),
+    (["run", "--n", "3", "--marked", "1,1", "--tau", "1", "--uniform"], "--marked"),
+    (["run", "--n", "3", "--marked", "8", "--tau", "1", "--uniform"], "--marked"),
+    (["ansatz-grid", "--mixing-n", "2000"], "--mixing-n"),
+    (["run", "--n", "3", "--marked", "1", "--tau", "2",
+      "--alpha", "nan", "--beta", "0", "--theta", "0.5"], "--alpha"),
+    (["run", "--n", "3", "--marked", "1", "--tau", "2",
+      "--alpha", "0", "--beta", "inf", "--theta", "0.5"], "--beta"),
+    (["run", "--n", "21", "--marked", "1", "--tau", "1", "--uniform"], "--n"),
+    (["run", "--n", "3", "--marked", "1", "--tau", "-1", "--uniform"], "--tau"),
 ])
 def test_bad_values_name_their_flag(tmp_path, capsys, command, flag):
     assert main(command + ["--out", str(tmp_path / "out")]) == 2
     assert f"error: {flag} " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# Valid values for the flags a command requires, so the flag under test is the only bad one.
+REQUIRED = {"run": ["--n", "3", "--marked", "1", "--tau", "1"]}
+
+
+def _typed_actions():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, action)
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.type not in (None, str)
+    ]
+
+
+@pytest.mark.parametrize("command, flag", [(c, a.option_strings[0]) for c, a in _typed_actions()])
+def test_every_typed_flag_rejects_a_non_number(tmp_path, capsys, command, flag):
+    argv = [command, *REQUIRED.get(command, []), flag, "x", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"error: {flag} " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_no_flag_takes_an_unchecked_number():
+    # A bare int or float type accepts any number, so its flag's range would go unchecked.
+    assert [(c, a.option_strings[0]) for c, a in _typed_actions() if a.type in (int, float)] == []
+
+
+def _run_module(args, cwd):
+    """Run `python -m groversim.cli` on the imported copy of the package."""
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(groversim.__file__)))
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = package_root + (os.pathsep + existing if existing else "")
+    return subprocess.run([sys.executable, "-m", "groversim.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_process_exit_codes(tmp_path):
+    proc = _run_module(["minimize", "--objective-n", "3", "--budget", "0", "--out", "X"], tmp_path)
+    assert proc.returncode == 2
+    assert "error: --budget " in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+    proc = _run_module(["--version"], tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"groversim {groversim.__version__}"
 
 
 def test_verify_without_a_valid_cell_is_a_usage_error(tmp_path, capsys):

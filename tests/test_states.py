@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from groversim import (
     MAX_QUBITS,
+    LocalGateParams,
     PureState,
     SingleQubitGate,
+    SmallDensityMatrix,
     StateMixture,
     apply_product_unitary,
     basis_state,
@@ -47,6 +49,25 @@ def test_rejects_wrong_length():
 def test_rejects_bad_qubit_count(n):
     with pytest.raises(ValueError):
         basis_state(n)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PureState(1, [NAN, 1.0]), "not normalized"),
+    (lambda: PureState(1, [INF, 0.0]), "not normalized"),
+    (lambda: SingleQubitGate([[NAN, 0.0], [0.0, 1.0]]), "not unitary"),
+    (lambda: SmallDensityMatrix([[NAN, 0.0], [0.0, 1.0]]), "not Hermitian"),
+    (lambda: SmallDensityMatrix([[0.5, NAN], [NAN, 0.5]]), "not Hermitian"),
+    (lambda: LocalGateParams(NAN, 0.0, 0.5), "alpha must be finite"),
+    (lambda: LocalGateParams(0.0, INF, 0.5), "beta must be finite"),
+], ids=["state-nan", "state-inf", "gate-nan", "density-nan-diagonal", "density-nan-coherence",
+        "phase-alpha-nan", "phase-beta-inf"])
+def test_non_finite_entries_are_rejected(build, message):
+    # A tolerance check written `x > tol` is false for NaN and would let these through.
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_amplitudes_are_read_only():
