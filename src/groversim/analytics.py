@@ -10,7 +10,7 @@ that closed form, its optimum, and the quantities around it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,15 +80,7 @@ class MeasureCounterexampleReport:
     conclusion: str
 
     def to_dict(self) -> dict:
-        return {
-            "separable_fraction": self.separable_fraction,
-            "entangled_fraction": self.entangled_fraction,
-            "entanglement_blind": self.entanglement_blind,
-            "incoherent_fraction": self.incoherent_fraction,
-            "coherent_fraction": self.coherent_fraction,
-            "coherence_blind": self.coherence_blind,
-            "conclusion": self.conclusion,
-        }
+        return asdict(self)
 
 
 def _check_geometry(dim: int, r: int) -> None:
@@ -131,11 +123,11 @@ def closed_form_average(dim: int, r: int, tau: int, fc: float) -> float:
     with vartheta = theta (tau + 1/2); exact for every initial state with
     coherence fraction f_c.
     """
-    _check_geometry(dim, r)
+    theta = mixing_angle(dim, r)
     if not isinstance(tau, int) or tau < 0:
         raise ValueError(f"step count must be a non-negative int, got {tau!r}")
     fc = _check_fraction(fc)
-    s2 = math.sin(mixing_angle(dim, r) * (tau + 0.5)) ** 2
+    s2 = math.sin(theta * (tau + 0.5)) ** 2
     return ((dim * s2 - r) * fc + (r - s2)) / (dim - 1)
 
 

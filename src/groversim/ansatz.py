@@ -19,6 +19,11 @@ from .states import PureState, SingleQubitGate, check_qubit_count
 _TWO_PI = 2.0 * math.pi
 
 
+def _check_mixing_angle(theta: float) -> None:
+    if not 0.0 <= theta <= math.pi / 2.0:
+        raise ValueError(f"mixing angle must lie in [0, pi/2], got {theta!r}")
+
+
 @dataclass(frozen=True)
 class LocalGateParams:
     """Phases alpha, beta (any finite reals) and mixing angle theta in [0, pi/2]."""
@@ -34,8 +39,7 @@ class LocalGateParams:
         for name in ("alpha", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"phase {name} must be finite, got {getattr(self, name)!r}")
-        if not 0.0 <= self.theta <= math.pi / 2.0:
-            raise ValueError(f"mixing angle must lie in [0, pi/2], got {self.theta!r}")
+        _check_mixing_angle(self.theta)
 
     def phases_mod_2pi(self) -> tuple[float, float]:
         """Phases folded into [0, 2pi), for reporting; computations use the raw values."""
@@ -90,8 +94,7 @@ def optimal_success_vs_phases(n: int, alpha: float, beta: float) -> float:
     Equals |(e^{ia} + e^{ib})^n|^2 / 4^n; reaches 1 exactly when the
     phases agree mod 2pi and 0 when they differ by pi.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"qubit count must be a positive int, got {n!r}")
+    check_qubit_count(n)
     return abs((cmath.exp(1j * alpha) + cmath.exp(1j * beta)) ** n) ** 2 / 4**n
 
 
@@ -101,8 +104,6 @@ def optimal_success_vs_mixing(n: int, theta: float) -> float:
     Equals (cos t + sin t)^{2n} / 2^n; maximized at theta = pi/4 where it
     is exactly 1, and 2^{-n} at both endpoints of [0, pi/2].
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"qubit count must be a positive int, got {n!r}")
-    if not 0.0 <= theta <= math.pi / 2.0:
-        raise ValueError(f"mixing angle must lie in [0, pi/2], got {theta!r}")
+    check_qubit_count(n)
+    _check_mixing_angle(theta)
     return (math.cos(theta) + math.sin(theta)) ** (2 * n) / 2**n

@@ -17,7 +17,6 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -395,16 +394,26 @@ def _add_state_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--uniform", action="store_true", help="use the uniform initial state")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raise every usage error as ArgumentError, which main reports, rather than exiting.
+
+    Subparsers are built from the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, exit_on_error=False, **kwargs)
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # exit_on_error=False: main reports a bad flag itself and returns 2.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groversim",
         description="Grover search simulation and closed-form analytics for arbitrary initial states.",
-        exit_on_error=False,
     )
     parser.add_argument("--version", action="version", version=f"groversim {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=partial(argparse.ArgumentParser, exit_on_error=False))
+    subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser(
         "verify-average",

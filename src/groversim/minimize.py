@@ -109,8 +109,8 @@ class SearchSchedule:
     def __post_init__(self) -> None:
         if not 1.0 < self.growth <= 4.0 / 3.0:
             raise ValueError(f"growth factor must lie in (1, 4/3], got {self.growth!r}")
-        if not self.initial_reach >= 1.0:
-            raise ValueError(f"initial reach must be >= 1, got {self.initial_reach!r}")
+        if not 1.0 <= self.initial_reach < math.inf:
+            raise ValueError(f"initial reach must be finite and >= 1, got {self.initial_reach!r}")
         if self.max_oracle_calls is not None and self.max_oracle_calls <= 0:
             raise ValueError(f"oracle budget must be positive, got {self.max_oracle_calls!r}")
 

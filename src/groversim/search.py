@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .states import PureState, check_qubit_count, success_mass
+from .analytics import mixing_angle
+from .states import PureState, check_qubit_count
 
 ENUMERATION_CAP = 10_000_000
 DEGENERATE_ATOL = 1e-14
@@ -59,8 +60,9 @@ class MarkedSet:
 class SearchConfig:
     """Problem geometry: dimension N = 2**n, marked count r, step count tau.
 
-    theta = arccos(1 - 2r/N) is the rotation angle of one Grover step in
-    the invariant subspace; vartheta = theta * (tau + 1/2).
+    theta = arccos(1 - 2r/N) (analytics.mixing_angle) is the rotation angle
+    of one Grover step in the invariant subspace; vartheta = theta * (tau + 1/2).
+    Every simulator entry point checks its (n, r, tau) by building one.
     """
 
     n: int
@@ -70,13 +72,9 @@ class SearchConfig:
     vartheta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        check_qubit_count(self.n)
-        dim = 2**self.n
-        if not isinstance(self.r, int) or not 1 <= self.r <= dim:
-            raise ValueError(f"marked count must be an int in [1, {dim}], got {self.r!r}")
+        theta = mixing_angle(2 ** check_qubit_count(self.n), self.r)
         if not isinstance(self.tau, int) or self.tau < 0:
             raise ValueError(f"step count must be a non-negative int, got {self.tau!r}")
-        theta = math.acos(1.0 - 2.0 * self.r / dim)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "vartheta", theta * (self.tau + 0.5))
 
@@ -174,40 +172,27 @@ def apply_diffusion(state: PureState) -> PureState:
 def grover_iterate(state: PureState, marked: MarkedSet, tau: int) -> PureState:
     """Apply tau Grover steps (oracle then diffusion, tau times)."""
     marked.validate_for(state.dimension)
-    if tau < 0:
-        raise ValueError(f"step count must be non-negative, got {tau}")
+    SearchConfig(state.n, marked.r, tau)
     out = kernels.grover_evolve(state.amplitudes, marked.indices, tau)
     return PureState(state.n, out)
 
 
 def success_probability(initial: PureState, marked: MarkedSet, tau: int) -> float:
     """Probability of measuring a marked index after tau steps."""
-    return success_mass(grover_iterate(initial, marked, tau), marked)
+    return run_search(initial, marked, tau).final_success
 
 
 def run_search(initial: PureState, marked: MarkedSet, tau: int) -> RunReport:
     """Run tau steps and record the success mass after each one."""
     marked.validate_for(initial.dimension)
-    if tau < 0:
-        raise ValueError(f"step count must be non-negative, got {tau}")
-    traj = kernels.success_trajectory(initial.amplitudes, marked.indices, tau)
     config = SearchConfig(initial.n, marked.r, tau)
+    traj = kernels.success_trajectory(initial.amplitudes, marked.indices, tau)
     return RunReport(
         config=config,
         marked=marked,
         final_success=float(traj[-1]),
         per_iteration_success=tuple(float(p) for p in traj),
     )
-
-
-def _check_enumeration(dimension: int, r: int, cap: int) -> None:
-    if not 1 <= r <= dimension:
-        raise ValueError(f"marked count must lie in [1, {dimension}], got {r}")
-    total = math.comb(dimension, r)
-    if total > cap:
-        raise EnumerationCapError(
-            f"C({dimension}, {r}) = {total} subsets exceeds the enumeration cap {cap}"
-        )
 
 
 def average_over_all_sets(
@@ -227,9 +212,12 @@ def average_trajectory_over_all_sets(
     initial: PureState, r: int, tau_max: int, cap: int = ENUMERATION_CAP
 ) -> np.ndarray:
     """All-subsets average success mass after each of 0..tau_max steps."""
-    _check_enumeration(initial.dimension, r, cap)
-    if tau_max < 0:
-        raise ValueError(f"step count must be non-negative, got {tau_max}")
+    SearchConfig(initial.n, r, tau_max)
+    total = math.comb(initial.dimension, r)
+    if total > cap:
+        raise EnumerationCapError(
+            f"C({initial.dimension}, {r}) = {total} subsets exceeds the enumeration cap {cap}"
+        )
     return kernels.average_trajectory(initial.amplitudes, r, tau_max)
 
 

@@ -109,6 +109,9 @@ def test_phase_slice_anchor_values():
         assert optimal_success_vs_phases(n, 0.7, 0.7) == pytest.approx(1.0, abs=1e-12)
         assert optimal_success_vs_phases(n, 0.0, math.pi) == pytest.approx(0.0, abs=1e-14)
     assert optimal_success_vs_phases(2, math.pi / 2, 0.0) == pytest.approx(0.25, abs=1e-14)
+    for n in (0, 21, 2000):
+        with pytest.raises(ValueError, match="qubit count"):
+            optimal_success_vs_phases(n, 0.0, 0.0)
 
 
 def test_phase_slice_is_the_quarter_pi_fraction():
@@ -125,6 +128,9 @@ def test_mixing_slice_anchor_values():
         assert optimal_success_vs_mixing(n, math.pi / 2) == pytest.approx(2.0**-n, abs=1e-14)
     with pytest.raises(ValueError):
         optimal_success_vs_mixing(2, -0.01)
+    for n in (0, 21, 2000):
+        with pytest.raises(ValueError, match="qubit count"):
+            optimal_success_vs_mixing(n, 0.5)
 
 
 def test_mixing_slice_peaks_uniquely_at_quarter_pi():

@@ -221,10 +221,26 @@ def test_minimize_rejects_out_of_range_objective_n(tmp_path, capsys, objective_n
       "--alpha", "0", "--beta", "inf", "--theta", "0.5"], "--beta"),
     (["run", "--n", "21", "--marked", "1", "--tau", "1", "--uniform"], "--n"),
     (["run", "--n", "3", "--marked", "1", "--tau", "-1", "--uniform"], "--tau"),
+    (["minimize", "--objective-n", "3", "--initial-reach", "inf"], "--initial-reach"),
 ])
 def test_bad_values_name_their_flag(tmp_path, capsys, command, flag):
     assert main(command + ["--out", str(tmp_path / "out")]) == 2
     assert f"error: {flag} " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    [],
+    ["frobnicate"],
+    ["run", "--n", "3", "--tau", "1", "--out", "{out}"],
+    ["run", "--n", "3", "--marked", "1", "--tau", "1", "--bogus", "1", "--out", "{out}"],
+    ["verify-average", "--n", "2"],
+])
+def test_usage_errors_return_2(tmp_path, capsys, command):
+    assert main([arg.replace("{out}", str(tmp_path / "out")) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "usage:" not in captured.err + captured.out
     assert list(tmp_path.iterdir()) == []
 
 

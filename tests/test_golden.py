@@ -1,0 +1,77 @@
+"""Checked-in CLI outputs: every command, at tiny sizes, must reproduce them byte for byte.
+
+A change that moves any output byte shows up here as an explicit diff
+against tests/golden/<case>/. To record new outputs on purpose, run
+`PYTHONPATH=src python tests/test_golden.py` and review the diff.
+"""
+import sys
+from pathlib import Path
+
+import pytest
+
+from groversim.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# case -> (argv with "{out}" for the output path, files the command writes)
+CASES = {
+    "verify-average-csv": (
+        ["verify-average", "--n", "1,2", "--r", "1,2", "--tau", "2", "--states", "1",
+         "--seed", "3", "--out", "{out}/verify.csv"],
+        ["verify.csv"],
+    ),
+    "verify-average-json": (
+        ["verify-average", "--n", "2", "--r", "1", "--tau", "1", "--states", "1",
+         "--format", "json", "--out", "{out}/verify.json"],
+        ["verify.json"],
+    ),
+    "optimal-curves": (
+        ["optimal-curves", "--n", "3", "--r", "1,2,8", "--fc-grid", "0:1:5",
+         "--out", "{out}/curves.csv"],
+        ["curves.csv"],
+    ),
+    "ansatz-grid": (
+        ["ansatz-grid", "--n", "2", "--mixing-n", "2,3", "--points", "5", "--out", "{out}/grid"],
+        ["grid_phases.csv", "grid_mixing.csv"],
+    ),
+    "run-uniform": (
+        ["run", "--n", "3", "--marked", "1,5", "--tau", "4", "--uniform", "--out", "{out}/run.json"],
+        ["run.json"],
+    ),
+    "run-ansatz": (
+        ["run", "--n", "3", "--marked", "2", "--tau", "3",
+         "--alpha", "0.3", "--beta", "1.1", "--theta", "0.6", "--out", "{out}/run.json"],
+        ["run.json"],
+    ),
+    "minimize": (
+        ["minimize", "--objective-n", "4", "--seeds", "0,1,2", "--out", "{out}/mini"],
+        ["mini.json", "mini_summary.csv"],
+    ),
+    "minimize-ansatz-budget": (
+        ["minimize", "--objective-n", "5", "--generator", "uniform", "--seeds", "0,1",
+         "--budget", "2", "--alpha", "0.1", "--beta", "0.2", "--theta", "0.7", "--out", "{out}/mini"],
+        ["mini.json", "mini_summary.csv"],
+    ),
+}
+
+
+def _run_case(case: str, out: Path) -> list[str]:
+    argv, files = CASES[case]
+    assert main([arg.replace("{out}", str(out)) for arg in argv]) == 0
+    return files
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(tmp_path, case):
+    files = _run_case(case, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    for name in files:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        target = GOLDEN / case
+        target.mkdir(parents=True, exist_ok=True)
+        _run_case(case, target)
+        print(f"wrote {target}", file=sys.stderr)

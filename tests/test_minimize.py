@@ -153,8 +153,9 @@ def test_schedule_validation():
         SearchSchedule(growth=1.5)
     with pytest.raises(ValueError, match="reach"):
         SearchSchedule(initial_reach=0.5)
-    with pytest.raises(ValueError, match="reach"):
-        SearchSchedule(initial_reach=float("nan"))
+    for reach in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="reach"):
+            SearchSchedule(initial_reach=reach)
     with pytest.raises(ValueError, match="budget"):
         SearchSchedule(max_oracle_calls=0)
 

@@ -85,10 +85,12 @@ def test_iterate_composes_oracle_and_diffusion(rng):
 
 
 def test_iterate_validates_arguments():
-    with pytest.raises(ValueError):
-        grover_iterate(basis_state(2), MarkedSet((4,)), 1)
-    with pytest.raises(ValueError):
-        grover_iterate(basis_state(2), MarkedSet((0,)), -1)
+    for run in (grover_iterate, run_search, success_probability):
+        with pytest.raises(ValueError, match="out of range"):
+            run(basis_state(2), MarkedSet((4,)), 1)
+        for tau in (-1, 2.5):
+            with pytest.raises(ValueError, match="step count"):
+                run(basis_state(2), MarkedSet((0,)), tau)
 
 
 # --------------------------------------------------------- success probability
@@ -156,10 +158,13 @@ def test_average_with_everything_marked_is_one(rng):
 
 
 def test_average_validates_r():
-    with pytest.raises(ValueError):
-        average_over_all_sets(basis_state(2), 0, 1)
-    with pytest.raises(ValueError):
-        average_over_all_sets(basis_state(2), 5, 1)
+    for average in (average_over_all_sets, average_trajectory_over_all_sets):
+        for r in (0, 5, 1.0):
+            with pytest.raises(ValueError, match="marked count"):
+                average(basis_state(2), r, 1)
+        for tau in (-1, 2.5):
+            with pytest.raises(ValueError, match="step count"):
+                average(basis_state(2), 1, tau)
 
 
 def test_enumeration_cap_is_enforced():
@@ -177,12 +182,12 @@ def test_config_angles():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(2, 0, 1)
-    with pytest.raises(ValueError):
-        SearchConfig(2, 5, 1)
-    with pytest.raises(ValueError):
-        SearchConfig(2, 1, -1)
+    for r in (0, 5, 1.0):
+        with pytest.raises(ValueError, match="marked count"):
+            SearchConfig(2, r, 1)
+    for tau in (-1, 2.5):
+        with pytest.raises(ValueError, match="step count"):
+            SearchConfig(2, 1, tau)
 
 
 def test_decomposition_reconstructs_the_state(rng):
