@@ -19,6 +19,11 @@ from .states import PureState, SingleQubitGate, check_qubit_count
 _TWO_PI = 2.0 * math.pi
 
 
+def _check_phase(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"phase {name} must be finite, got {value!r}")
+
+
 def _check_mixing_angle(theta: float) -> None:
     if not 0.0 <= theta <= math.pi / 2.0:
         raise ValueError(f"mixing angle must lie in [0, pi/2], got {theta!r}")
@@ -36,9 +41,8 @@ class LocalGateParams:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "theta", float(self.theta))
-        for name in ("alpha", "beta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"phase {name} must be finite, got {getattr(self, name)!r}")
+        _check_phase("alpha", self.alpha)
+        _check_phase("beta", self.beta)
         _check_mixing_angle(self.theta)
 
     def phases_mod_2pi(self) -> tuple[float, float]:
@@ -95,6 +99,8 @@ def optimal_success_vs_phases(n: int, alpha: float, beta: float) -> float:
     phases agree mod 2pi and 0 when they differ by pi.
     """
     check_qubit_count(n)
+    _check_phase("alpha", alpha)
+    _check_phase("beta", beta)
     return abs((cmath.exp(1j * alpha) + cmath.exp(1j * beta)) ** n) ** 2 / 4**n
 
 

@@ -6,6 +6,25 @@ geometrically growing reach) against that marked set, measures, and
 lowers the threshold when the measurement improves it. The threshold
 register stays classical; oracle-call accounting charges the Grover
 iterations only, measurements are free.
+
+No attempt builds a state vector. After j Grover steps every marked
+amplitude is v0[x] + b and every unmarked one is s v0[x] + c, with
+s = (-1)**j and two scalars b, c that follow from the running total and
+the marked sum in O(j) (the recurrence of kernels.py). Summing
+|v0[x] + b|**2 and |s v0[x] + c|**2 in index order gives the Born CDF
+
+    F(x) = P[x] + 2s Re(conj(c) R[x]) + |c|**2 (x + 1)
+           + 2 Re((conj(b) - s conj(c)) RM[k]) + k (|b|**2 - |c|**2),
+
+where P and R are the prefix sums of |v0|**2 and v0 (built once per run,
+O(N)), k counts the marked indices <= x, and RM[k] sums v0 over the
+first k of them (once per round, O(r)). The expansion is exact algebra,
+so F equals the dense cumsum of the evolved probabilities up to
+rounding. An attempt evaluates F on a grid of every sqrt(N)-th index,
+then on the one block that holds the draw, and returns the first x with
+F(x) > u F(N - 1) for its single rng.random() u: the index the dense
+cumsum and searchsorted pick, unless u lies within rounding of a CDF
+step. One attempt costs O(sqrt(N) log r).
 """
 from __future__ import annotations
 
@@ -16,7 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .analytics import closed_form_average
 from .ansatz import LocalGateParams, prepare_ansatz_state
 from .search import MarkedSet
@@ -148,13 +166,18 @@ class MinimizationReport:
         }
 
 
-def threshold_marked_set(table: ObjectiveTable, d: float) -> MarkedSet | None:
-    """Indices with f(x) strictly below d, or None when nothing qualifies.
+def _below(table: ObjectiveTable, d: float) -> np.ndarray:
+    """Sorted indices with f(x) strictly below d, as an np.intp array.
 
     Strictness means ties at the threshold stay unmarked, so a verified
     search hit always lowers the threshold.
     """
-    below = np.flatnonzero(table.values < d)
+    return np.flatnonzero(table.values < d)
+
+
+def threshold_marked_set(table: ObjectiveTable, d: float) -> MarkedSet | None:
+    """Indices with f(x) strictly below d, or None when nothing qualifies."""
+    below = _below(table, d)
     if below.size == 0:
         return None
     return MarkedSet(tuple(below.tolist()))
@@ -167,6 +190,106 @@ def sample_measurement(state: PureState, rng: np.random.Generator) -> int:
     cdf /= cdf[-1]
     idx = int(np.searchsorted(cdf, rng.random(), side="right"))
     return min(idx, state.dimension - 1)
+
+
+def _first_above(values: np.ndarray, bound: float) -> int:
+    """Position of the first entry above bound, or the last position when none is."""
+    above = values > bound
+    i = int(above.argmax())
+    return i if above[i] else values.size - 1
+
+
+def _cdf(mass, running, count, k, marked_running, s, b, c) -> np.ndarray:
+    """F at indices x from their prefix sums: P[x], R[x], x + 1, k(x) and RM[k(x)]."""
+    sc = s * c.conjugate()
+    out = mass + (2.0 * sc * running).real
+    out += (2.0 * (b.conjugate() - sc) * marked_running).real
+    out += abs(c) ** 2 * count + (abs(b) ** 2 - abs(c) ** 2) * k
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _StartSums:
+    """Prefix sums of one start state v0, built once per run in O(N).
+
+    mass[x] = sum |v0[y]|^2 and running[x] = sum v0[y] over y <= x; grid
+    holds every stride-th index up to N - 1, stride about sqrt(N).
+    """
+
+    amps: np.ndarray
+    mass: np.ndarray
+    running: np.ndarray
+    total: complex
+    grid: np.ndarray
+
+    @classmethod
+    def of(cls, amps: np.ndarray) -> "_StartSums":
+        dim = amps.shape[0]
+        stride = 1 << ((dim.bit_length() - 1) // 2)
+        return cls(
+            amps=amps,
+            mass=np.cumsum(np.abs(amps) ** 2),
+            running=np.cumsum(amps),
+            total=complex(amps.sum()),
+            grid=np.arange(stride - 1, dim, stride),
+        )
+
+
+class _SearchRound:
+    """Born draws after any number of Grover steps, for one sorted marked set.
+
+    Holds the running sum over the marked amplitudes, RM[k] = sum of v0 at
+    the first k marked indices (O(r) per round), and the step scalars
+    (T, b, c) of every step count used so far.
+    """
+
+    def __init__(self, start: _StartSums, marked: np.ndarray) -> None:
+        self.start = start
+        self.marked = marked
+        picked = start.amps[marked]
+        self.marked_running = np.zeros(marked.size + 1, dtype=np.complex128)
+        np.cumsum(picked, out=self.marked_running[1:])
+        self._picked_sum = complex(picked.sum())
+        self._steps = [(start.total, 0j, 0j)]
+        self._grid_parts = self._parts(start.grid)
+
+    def _scalars(self, steps: int) -> tuple[float, complex, complex]:
+        """(s, b, c): after `steps` steps, marked x holds v0[x] + b, unmarked s v0[x] + c."""
+        dim = self.start.amps.shape[0]
+        r = self.marked.size
+        while len(self._steps) <= steps:
+            total, b, c = self._steps[-1]
+            total -= 2.0 * (self._picked_sum + r * b)
+            b += (2.0 / dim) * total
+            c = (2.0 / dim) * total - c
+            self._steps.append((total, b, c))
+        _, b, c = self._steps[steps]
+        return (-1.0 if steps % 2 else 1.0), b, c
+
+    def _parts(self, xs: np.ndarray) -> tuple:
+        """The prefix sums _cdf needs at the sorted indices xs."""
+        k = np.searchsorted(self.marked, xs, side="right")
+        return self.start.mass[xs], self.start.running[xs], xs + 1, k, self.marked_running[k]
+
+    def cdf(self, xs: np.ndarray, steps: int) -> np.ndarray:
+        """F(x), the probability of measuring an index <= x after `steps` steps."""
+        return _cdf(*self._parts(xs), *self._scalars(steps))
+
+    def draw(self, steps: int, u: float) -> int:
+        """The first x with F(x) > u F(N - 1): a grid pass, then one block."""
+        scalars = self._scalars(steps)
+        coarse = _cdf(*self._grid_parts, *scalars)
+        bound = u * coarse[-1]
+        i = _first_above(coarse, bound)
+        grid = self.start.grid
+        lo = int(grid[i - 1]) + 1 if i else 0
+        block = _cdf(*self._parts(np.arange(lo, grid[i] + 1)), *scalars)
+        return lo + _first_above(block, bound)
+
+    def is_marked(self, x: int) -> bool:
+        """Whether x is in the marked set, by binary search."""
+        k = int(np.searchsorted(self.marked, x))
+        return k < self.marked.size and int(self.marked[k]) == x
 
 
 def exponential_search(
@@ -184,11 +307,15 @@ def exponential_search(
     at that point comes back unverified.
     """
     marked.validate_for(initial.dimension)
-    amps = initial.amplitudes
-    idx = np.asarray(marked.indices, dtype=np.int64)
-    is_marked = np.zeros(initial.dimension, dtype=bool)
-    is_marked[idx] = True
-    reach_cap = math.sqrt(initial.dimension)
+    start = _StartSums.of(initial.amplitudes)
+    return _search(_SearchRound(start, np.asarray(marked.indices, dtype=np.intp)), schedule, rng)
+
+
+def _search(
+    rnd: _SearchRound, schedule: SearchSchedule, rng: np.random.Generator
+) -> SearchOutcome:
+    """exponential_search on a prepared round; one rng.integers and one rng.random per attempt."""
+    reach_cap = math.sqrt(rnd.start.amps.shape[0])
     reach = min(schedule.initial_reach, reach_cap)
     budget = schedule.max_oracle_calls
     calls = 0
@@ -196,10 +323,9 @@ def exponential_search(
         j = int(rng.integers(0, math.ceil(reach)))
         if budget is not None and calls + j > budget:
             j = budget - calls
-        evolved = kernels.grover_evolve(amps, idx, j)
         calls += j
-        x = sample_measurement(PureState(initial.n, evolved), rng)
-        if is_marked[x]:
+        x = rnd.draw(j, rng.random())
+        if rnd.is_marked(x):
             return SearchOutcome(index=x, oracle_calls=calls, verified=True)
         if budget is not None and calls >= budget:
             return SearchOutcome(index=x, oracle_calls=calls, verified=False)
@@ -228,14 +354,15 @@ def run_minimization(
         if init is None
         else prepare_ansatz_state(table.n, init)
     )
+    start = _StartSums.of(prep.amplitudes)
     x = int(rng.integers(table.dimension))
     d = float(table.values[x])
     history = [(x, d)]
     calls = 0
     budget = schedule.max_oracle_calls
     while True:
-        marked = threshold_marked_set(table, d)
-        if marked is None:
+        marked = _below(table, d)
+        if marked.size == 0:
             converged, reason = True, "empty_marked_set"
             break
         if budget is not None and calls >= budget:
@@ -245,7 +372,7 @@ def run_minimization(
             schedule,
             max_oracle_calls=None if budget is None else budget - calls,
         )
-        outcome = exponential_search(prep, marked, round_schedule, rng)
+        outcome = _search(_SearchRound(start, marked), round_schedule, rng)
         calls += outcome.oracle_calls
         value = float(table.values[outcome.index])
         if value < d:

@@ -114,6 +114,20 @@ def test_phase_slice_anchor_values():
             optimal_success_vs_phases(n, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_slice_and_params_reject_the_same_phases(bad):
+    # one finiteness rule for both: the slice must not return nan where
+    # LocalGateParams raises
+    with pytest.raises(ValueError, match="phase alpha must be finite"):
+        LocalGateParams(bad, 0.0, 0.3)
+    with pytest.raises(ValueError, match="phase alpha must be finite"):
+        optimal_success_vs_phases(2, bad, 0.0)
+    with pytest.raises(ValueError, match="phase beta must be finite"):
+        LocalGateParams(0.0, bad, 0.3)
+    with pytest.raises(ValueError, match="phase beta must be finite"):
+        optimal_success_vs_phases(2, 0.0, bad)
+
+
 def test_phase_slice_is_the_quarter_pi_fraction():
     for a, b in ((0.3, 1.9), (2.5, -0.4)):
         assert optimal_success_vs_phases(3, a, b) == pytest.approx(

@@ -1,13 +1,17 @@
 import dataclasses
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from groversim import (
+    LocalGateParams,
     MarkedSet,
     ObjectiveTable,
+    PureState,
     SearchSchedule,
     basis_state,
     closed_form_average,
@@ -19,6 +23,11 @@ from groversim import (
     sample_measurement,
     threshold_marked_set,
 )
+from groversim import kernels
+from groversim.minimize import SearchOutcome, _search, _SearchRound, _StartSums
+from test_kernels import _dense_runs, _edge_states
+
+NEAR_UNIFORM = LocalGateParams(0.3, 0.35, 0.78)
 
 # ----------------------------------------------------------- objective tables
 
@@ -110,6 +119,96 @@ def test_sampling_is_deterministic_per_seed():
     rng = np.random.default_rng(9)
     second = [sample_measurement(s, rng) for _ in range(5)]
     assert first == second
+
+
+# ------------------------------------------------- sampling without a vector
+
+def _round(amps, marked):
+    return _SearchRound(_StartSums.of(np.asarray(amps)), np.asarray(marked, dtype=np.intp))
+
+
+def _sampler_cells(rng):
+    """Every edge state at n = 3, 4, 5 and r = 1, 2, N-1, N, on a few marked sets each."""
+    for n in (3, 4, 5):
+        dim = 2**n
+        for kind, amps in _edge_states(n, rng).items():
+            for r in (1, 2, dim - 1, dim):
+                combos = list(itertools.combinations(range(dim), r))
+                picked = {combos[0], combos[-1], combos[int(rng.integers(len(combos)))]}
+                for marked in sorted(picked):
+                    yield f"{kind} state, n={n} marked={marked}", n, amps, np.array(marked, dtype=np.intp)
+
+
+def test_round_cdf_matches_the_dense_cumsum(rng):
+    for label, n, amps, marked in _sampler_cells(rng):
+        dim = 2**n
+        steps = math.ceil(math.sqrt(dim))
+        runs, _ = _dense_runs(amps, [marked], steps)
+        rnd = _round(amps, marked)
+        for j in range(steps + 1):
+            np.testing.assert_allclose(
+                rnd.cdf(np.arange(dim), j), np.cumsum(np.abs(runs[j, 0]) ** 2),
+                rtol=0, atol=1e-12, err_msg=f"{label} j={j}",
+            )
+
+
+def test_round_draws_match_the_dense_sampler(rng):
+    for label, n, amps, marked in _sampler_cells(rng):
+        rnd = _round(amps, marked)
+        dense_rng, round_rng = np.random.default_rng(n), np.random.default_rng(n)
+        for j in range(math.ceil(math.sqrt(2**n)) + 1):
+            state = PureState(n, kernels.grover_evolve(amps, marked, j))
+            for _ in range(16):
+                want = sample_measurement(state, dense_rng)
+                assert rnd.draw(j, round_rng.random()) == want, f"{label} j={j}"
+
+
+def test_round_never_draws_from_a_zero_probability_region():
+    # uniform start, N = 4, one marked index: one step puts all mass on it
+    rnd = _round(equal_superposition(2).amplitudes, [2])
+    np.testing.assert_allclose(rnd.cdf(np.arange(4), 1), [0.0, 0.0, 1.0, 1.0], rtol=0, atol=1e-15)
+    # a basis start is certain before any step, whatever is marked
+    basis = _round(basis_state(3, 5).amplitudes, [1])
+    for u in np.linspace(0.0, 1.0, 101, endpoint=False):
+        assert rnd.draw(1, u) == 2
+        assert basis.draw(0, u) == 5
+    assert rnd.is_marked(2) and not rnd.is_marked(1) and not rnd.is_marked(3)
+
+
+def _dense_search(initial, marked, schedule, rng):
+    """Exponential search that evolves and samples the whole vector every attempt."""
+    reach_cap = math.sqrt(initial.dimension)
+    reach = min(schedule.initial_reach, reach_cap)
+    budget = schedule.max_oracle_calls
+    calls = 0
+    while True:
+        j = int(rng.integers(0, math.ceil(reach)))
+        if budget is not None and calls + j > budget:
+            j = budget - calls
+        calls += j
+        evolved = PureState(initial.n, kernels.grover_evolve(initial.amplitudes, marked.indices, j))
+        x = sample_measurement(evolved, rng)
+        if x in marked.indices:
+            return SearchOutcome(x, calls, True)
+        if budget is not None and calls >= budget:
+            return SearchOutcome(x, calls, False)
+        reach = min(reach * schedule.growth, reach_cap)
+
+
+def test_public_search_internal_round_and_dense_search_agree(rng):
+    schedules = (SearchSchedule(), SearchSchedule(growth=4 / 3, initial_reach=2.5),
+                 SearchSchedule(max_oracle_calls=3))
+    for n in (3, 4, 6):
+        for kind, amps in _edge_states(n, rng).items():
+            initial = PureState(n, amps)
+            for r in (1, 3):
+                marked = MarkedSet(tuple(rng.choice(2**n, size=r, replace=False).tolist()))
+                for schedule in schedules:
+                    for seed in range(8):
+                        public = exponential_search(initial, marked, schedule, np.random.default_rng(seed))
+                        internal = _search(_round(amps, marked.indices), schedule, np.random.default_rng(seed))
+                        dense = _dense_search(initial, marked, schedule, np.random.default_rng(seed))
+                        assert public == internal == dense, f"{kind} n={n} {marked} {schedule} seed={seed}"
 
 
 # --------------------------------------------------------- exponential search
@@ -214,6 +313,36 @@ def test_budget_exhaustion_is_reported():
                     assert rep.oracle_calls_used <= budget
                     assert rep.result_value == table.values.min()
     assert reasons == {"empty_marked_set", "budget_exhausted"}
+
+
+@pytest.mark.parametrize("init", [None, NEAR_UNIFORM], ids=["uniform", "ansatz"])
+def test_minimization_reaches_the_minimum_at_twenty_qubits(init):
+    table = make_objective("uniform", 20, 1)
+    rep = run_minimization(table, init, seed=7)
+    assert rep.converged and rep.stop_reason == "empty_marked_set"
+    assert rep.result_index in table.argmin_set()
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_minimization_workspace_is_a_few_vectors(seed):
+    table = make_objective("permutation", 16, 0)
+    dim = table.dimension
+    tracemalloc.start()
+    try:
+        rep = run_minimization(table, seed=seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    first = int(np.count_nonzero(table.values < rep.threshold_history[0][1]))
+    # seed 3 marks about 16% of the table in its first round and seed 5 about
+    # 90%: a per-attempt N-vector overflows the bound of the first, a Python
+    # list of the marked set that of the second
+    assert first < 0.2 * dim if seed == 3 else first > 0.85 * dim
+    # the start state and its two prefix sums (16 + 8 + 16 B per index), the
+    # first threshold mask (1 B), and per marked index its position,
+    # amplitude and running sum (8 + 16 + 16 B), plus half a complex vector
+    # of slack
+    assert peak < (16 + 8 + 16 + 1) * dim + (8 + 16 + 16) * first + 8 * dim
 
 
 def test_reports_are_reproducible_per_seed():
