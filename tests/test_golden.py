@@ -34,6 +34,25 @@ CASES = {
         ["ansatz-grid", "--n", "2", "--mixing-n", "2,3", "--points", "5", "--out", "{out}/grid"],
         ["grid_phases.csv", "grid_mixing.csv"],
     ),
+    "optimal-curves-json": (
+        ["optimal-curves", "--n", "4", "--r", "1,3,16", "--fc-grid", "0.25:0.75:5",
+         "--format", "json", "--out", "{out}/curves.json"],
+        ["curves.json"],
+    ),
+    "optimal-curves-edge": (
+        ["optimal-curves", "--n", "20", "--r", "1,1048576", "--fc-grid", "1:0:7",
+         "--out", "{out}/curves.csv"],
+        ["curves.csv"],
+    ),
+    "ansatz-grid-json": (
+        ["ansatz-grid", "--n", "3", "--mixing-n", "1,4", "--points", "4",
+         "--format", "json", "--out", "{out}/grid"],
+        ["grid_phases.json", "grid_mixing.json"],
+    ),
+    "ansatz-grid-edge": (
+        ["ansatz-grid", "--n", "20", "--mixing-n", "1,20", "--points", "7", "--out", "{out}/grid"],
+        ["grid_phases.csv", "grid_mixing.csv"],
+    ),
     "run-uniform": (
         ["run", "--n", "3", "--marked", "1,5", "--tau", "4", "--uniform", "--out", "{out}/run.json"],
         ["run.json"],
