@@ -90,11 +90,15 @@ def _check_geometry(dim: int, r: int) -> None:
         raise ValueError(f"marked count must be an int in [1, {dim}], got {r!r}")
 
 
-def _check_fraction(fc: float) -> float:
-    fc = float(fc)
-    if not 0.0 <= fc <= 1.0 + 1e-12:
-        raise ValueError(f"coherence fraction must lie in [0, 1], got {fc!r}")
-    return min(fc, 1.0)
+def _check_fraction(fc):
+    """fc, a float or an ndarray of them, checked to lie in [0, 1 + 1e-12] and clamped to 1."""
+    values = np.asarray(fc, dtype=np.float64)
+    inside = (values >= 0.0) & (values <= 1.0 + 1e-12)
+    if not inside.all():
+        bad = float(values[~inside].flat[0])
+        raise ValueError(f"coherence fraction must lie in [0, 1], got {bad!r}")
+    clamped = np.minimum(values, 1.0)
+    return clamped if clamped.ndim else float(clamped)
 
 
 def mixing_angle(dim: int, r: int) -> float:
@@ -137,11 +141,13 @@ def optimal_iterations(dim: int, r: int) -> int:
     return int(math.floor(math.pi / 4.0 * math.sqrt(dim / r)))
 
 
-def optimal_average(dim: int, r: int, fc: float) -> float:
+def optimal_average(dim: int, r: int, fc):
     """Idealized optimum of the average: (N-r)/(N-1) * f_c + (r-1)/(N-1).
 
     This sets sin^2(vartheta) = 1 exactly; the value at tau_opt differs
-    from it by at most (1 - sin^2(vartheta_opt)).
+    from it by at most (1 - sin^2(vartheta_opt)). fc may be a float, giving
+    a float, or an ndarray, giving an ndarray whose every entry equals the
+    float result for that entry bit for bit.
     """
     _check_geometry(dim, r)
     fc = _check_fraction(fc)

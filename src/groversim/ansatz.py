@@ -92,6 +92,11 @@ def ansatz_coherence_fraction(n: int, p: LocalGateParams) -> float:
     return abs(base**n) ** 2 / 2**n
 
 
+def _phase_success(n: int, ea: complex, eb: complex) -> float:
+    """|(ea + eb)^n|^2 / 4^n for ea = e^{ia}, eb = e^{ib}."""
+    return abs((ea + eb) ** n) ** 2 / 4**n
+
+
 def optimal_success_vs_phases(n: int, alpha: float, beta: float) -> float:
     """Idealized optimal success for one marked item at theta = pi/4.
 
@@ -101,7 +106,22 @@ def optimal_success_vs_phases(n: int, alpha: float, beta: float) -> float:
     check_qubit_count(n)
     _check_phase("alpha", alpha)
     _check_phase("beta", beta)
-    return abs((cmath.exp(1j * alpha) + cmath.exp(1j * beta)) ** n) ** 2 / 4**n
+    return _phase_success(n, cmath.exp(1j * alpha), cmath.exp(1j * beta))
+
+
+def optimal_success_phase_plane(n: int, phases) -> list[list[float]]:
+    """optimal_success_vs_phases(n, a, b) for every a, b in phases, one row per a.
+
+    Each phase is checked and exponentiated once, so a k-point axis costs k
+    calls to cmath.exp rather than 2k^2; every value equals the pointwise one
+    bit for bit.
+    """
+    check_qubit_count(n)
+    phases = [float(value) for value in phases]
+    for i, value in enumerate(phases):
+        _check_phase(f"#{i}", value)
+    exps = [cmath.exp(1j * value) for value in phases]
+    return [[_phase_success(n, ea, eb) for eb in exps] for ea in exps]
 
 
 def optimal_success_vs_mixing(n: int, theta: float) -> float:

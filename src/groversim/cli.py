@@ -2,14 +2,14 @@
 
 Every command is deterministic given its flags (seeds included): rerun
 with the same arguments, get byte-identical files. CSV files carry a
-'# key=value' metadata prelude, then an RFC-4180 body with a header row
-and floats at 17 significant digits. JSON files carry the same metadata
-under "meta". Writes are atomic (temp file + rename).
+'# key=value' metadata prelude, then a header row and CRLF-terminated
+body lines. Every field is a number or a bare word, so no field needs
+RFC-4180 quoting; floats carry 17 significant digits. JSON files carry
+the same metadata under "meta". Writes are atomic (temp file + rename).
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -25,8 +25,8 @@ from . import __version__
 from .analytics import closed_form_average, coherence_fraction, optimal_average
 from .ansatz import (
     LocalGateParams,
+    optimal_success_phase_plane,
     optimal_success_vs_mixing,
-    optimal_success_vs_phases,
     prepare_ansatz_state,
 )
 from .minimize import (
@@ -46,13 +46,14 @@ from .search import (
 from .states import PureState, basis_state, check_qubit_count, equal_superposition
 
 DEVIATION_THRESHOLD = 1e-10
+_FLOAT = ".17g"  # the format of every float written to a CSV file
 
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".17g")
+        return format(value, _FLOAT)
     if value is None:
         return "none"
     if isinstance(value, (list, tuple)):
@@ -76,14 +77,17 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, meta: dict, header: list[str], rows) -> None:
+def _csv_line(row) -> str:
+    return ",".join(map(_fmt, row)) + "\r\n"
+
+
+def _write_csv(path: Path, meta: dict, header: list[str], lines) -> None:
+    """Write the metadata prelude, the header row, then the body lines as given."""
     buf = io.StringIO()
     for key in sorted(meta):
         buf.write(f"# {key}={_fmt(meta[key])}\r\n")
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    buf.write(_csv_line(header))
+    buf.writelines(lines)
     _atomic_write_text(path, buf.getvalue())
 
 
@@ -93,9 +97,30 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_table(path: Path, fmt: str, meta: dict, header: list[str], rows) -> None:
     if fmt == "csv":
-        _write_csv(path, meta, header, rows)
+        _write_csv(path, meta, header, map(_csv_line, rows))
     else:
         _write_json(path, {"meta": meta, "columns": header, "rows": [list(r) for r in rows]})
+
+
+def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], axis: list, blocks) -> None:
+    """Write the rows (*prefix, x, value) for each block (prefix, values), x running along axis.
+
+    A curve table is a product of axes, so each axis value and each prefix
+    is formatted once per table, not once per row; values[i] belongs to
+    axis[i] and is a float.
+    """
+    if fmt != "csv":
+        rows = [(*prefix, x, value) for prefix, values in blocks for x, value in zip(axis, values)]
+        _write_table(path, fmt, meta, header, rows)
+        return
+    cells = [_fmt(x) for x in axis]
+
+    def lines():
+        for prefix, values in blocks:
+            head = "".join(_fmt(v) + "," for v in prefix)
+            yield "".join([f"{head}{x},{value:{_FLOAT}}\r\n" for x, value in zip(cells, values)])
+
+    _write_csv(path, meta, header, lines())
 
 
 def _meta(command: str, params: dict) -> dict:
@@ -152,7 +177,18 @@ _qubits = _flag_type(lambda text: check_qubit_count(_int(text)))
 _marked = _flag_type(lambda text: MarkedSet(tuple(_list_of(_int)(text))))
 
 
-def _grid_points(text: str) -> np.ndarray:
+def _check_rows(rows: int, flags: str = "") -> None:
+    """Refuse a table of more than ENUMERATION_CAP rows before any of it is built.
+
+    A flag converter leaves flags empty: argparse names the flag for it.
+    """
+    if rows > ENUMERATION_CAP:
+        message = f"would make a table of {rows:,} rows, more than the cap of {ENUMERATION_CAP:,}"
+        raise ValueError(f"{flags} {message}" if flags else message)
+
+
+def _grid_spec(text: str) -> tuple[float, float, int]:
+    """start, stop and count of a start:stop:count grid; allocates nothing."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"must look like start:stop:count, got {text!r}")
@@ -161,14 +197,23 @@ def _grid_points(text: str) -> np.ndarray:
         raise ValueError(f"needs at least 2 points, got {count}")
     if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
         raise ValueError(f"must stay inside [0, 1], got {text!r}")
-    return np.linspace(start, stop, count)
+    _check_rows(count)  # one row per point for each --r entry
+    return start, stop, count
 
 
 @_flag_type
 def _fc_grid(text: str) -> str:
     """Check the grid; keep the text, which the metadata records."""
-    _grid_points(text)
+    _grid_spec(text)
     return text
+
+
+@_flag_type
+def _points(text: str) -> int:
+    """--points of ansatz-grid: its phase table has points**2 rows."""
+    points = _number(int, 2)(text)
+    _check_rows(points * points)
+    return points
 
 
 def _random_state(n: int, rng: np.random.Generator) -> PureState:
@@ -241,55 +286,51 @@ def cmd_optimal_curves(args) -> int:
     for r in args.r:
         if r > dim:
             raise ValueError(f"--r entries must be <= {dim}, got {r}")
-    fc_grid = _grid_points(args.fc_grid)
+    start, stop, count = _grid_spec(args.fc_grid)
+    rows = len(args.r) * count
+    _check_rows(rows, "--r with --fc-grid")
+    fc_grid = np.linspace(start, stop, count)
 
-    rows = [
-        (r, float(fc), optimal_average(dim, r, float(fc)))
-        for r in args.r
-        for fc in fc_grid
-    ]
     meta = _meta(
         "optimal-curves",
         {"n": args.n, "r": args.r, "fc_grid": args.fc_grid, "format": args.format},
     )
-    _write_table(Path(args.out), args.format, meta, ["r", "fc", "p_opt"], rows)
-    print(f"optimal-curves: wrote {len(rows)} rows for N={dim}, r in {args.r}")
+    _write_curves(
+        Path(args.out), args.format, meta, ["r", "fc", "p_opt"], fc_grid.tolist(),
+        (((r,), optimal_average(dim, r, fc_grid).tolist()) for r in args.r),
+    )
+    print(f"optimal-curves: wrote {rows} rows for N={dim}, r in {args.r}")
     return 0
 
 
 def cmd_ansatz_grid(args) -> int:
     """Two gridded slices of the ansatz optimum: phase plane and mixing angle."""
-    phase_axis = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
-    phase_rows = [
-        (args.n, float(a), float(b), optimal_success_vs_phases(args.n, float(a), float(b)))
-        for a in phase_axis
-        for b in phase_axis
-    ]
-    theta_axis = np.linspace(0.0, math.pi / 2.0, args.points)
-    mixing_rows = [
-        (n, float(t), optimal_success_vs_mixing(n, float(t)))
-        for n in args.mixing_n
-        for t in theta_axis
-    ]
+    mixing_rows = len(args.mixing_n) * args.points
+    _check_rows(mixing_rows, "--mixing-n with --points")
+    phase_axis = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False).tolist()
+    theta_axis = np.linspace(0.0, math.pi / 2.0, args.points).tolist()
+    plane = optimal_success_phase_plane(args.n, phase_axis)
 
     suffix = "csv" if args.format == "csv" else "json"
     base = Path(args.out)
     phases_path = base.with_name(base.name + f"_phases.{suffix}")
     mixing_path = base.with_name(base.name + f"_mixing.{suffix}")
     common = {"points": args.points, "format": args.format}
-    _write_table(
+    _write_curves(
         phases_path, args.format,
         _meta("ansatz-grid", {**common, "block": "phases", "n": args.n}),
-        ["n", "alpha", "beta", "p"], phase_rows,
+        ["n", "alpha", "beta", "p"], phase_axis,
+        zip(((args.n, a) for a in phase_axis), plane),
     )
-    _write_table(
+    _write_curves(
         mixing_path, args.format,
         _meta("ansatz-grid", {**common, "block": "mixing", "n": args.mixing_n}),
-        ["n", "theta", "p"], mixing_rows,
+        ["n", "theta", "p"], theta_axis,
+        (((n,), [optimal_success_vs_mixing(n, t) for t in theta_axis]) for n in args.mixing_n),
     )
     print(
-        f"ansatz-grid: wrote {len(phase_rows)} phase rows to {phases_path.name}, "
-        f"{len(mixing_rows)} mixing rows to {mixing_path.name}"
+        f"ansatz-grid: wrote {args.points**2} phase rows to {phases_path.name}, "
+        f"{mixing_rows} mixing rows to {mixing_path.name}"
     )
     return 0
 
@@ -375,7 +416,7 @@ def cmd_minimize(args) -> int:
         csv_path, meta,
         ["seed", "result_index", "result_value", "oracle_calls_used",
          "converged", "stop_reason", "found_minimum"],
-        rows,
+        map(_csv_line, rows),
     )
     print(
         f"minimize: {sum(hits)}/{len(reports)} seeds reached the minimum "
@@ -450,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_qubits, default=2, help="qubit count for the phase block")
     p.add_argument("--mixing-n", type=_list_of(_qubits), default="2,3,4",
                    help="qubit counts for the mixing block")
-    p.add_argument("--points", type=_number(int, 2), default=101, help="grid points per axis")
+    p.add_argument("--points", type=_points, default=101, help="grid points per axis")
     p.add_argument("--out", required=True, help="output prefix; writes <out>_phases and <out>_mixing")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_ansatz_grid)

@@ -113,6 +113,18 @@ def test_optimal_average_values():
     assert optimal_average(dim, r, 0.0) == pytest.approx((r - 1) / (dim - 1), abs=1e-14)
 
 
+
+def test_optimal_average_takes_an_array_with_the_scalar_check_and_clamp():
+    fcs = np.array([0.0, 0.3, 1.0, 1.0 + 5e-13])
+    values = optimal_average(32, 3, fcs)
+    assert isinstance(values, np.ndarray)
+    assert values.tolist() == [optimal_average(32, 3, float(fc)) for fc in fcs]
+    assert values[-1] == optimal_average(32, 3, 1.0)  # clamped, as for a float
+    assert isinstance(optimal_average(32, 3, 0.3), float)
+    for bad in (1.0 + 1e-11, -1e-300, np.nan):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            optimal_average(32, 3, np.array([0.5, bad, 0.25]))
+
 def test_idealization_gap_is_bounded():
     # the closed form at tau_opt sits within (1 - sin^2 vartheta) of the ideal line
     for dim, r in ((8, 1), (32, 2), (64, 1), (256, 1)):

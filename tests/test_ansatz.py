@@ -14,6 +14,7 @@ from groversim import (
     coherence_fraction,
     equal_superposition,
     fidelity_with,
+    optimal_success_phase_plane,
     optimal_success_vs_mixing,
     optimal_success_vs_phases,
     prepare_ansatz_state,
@@ -126,6 +127,8 @@ def test_phase_slice_and_params_reject_the_same_phases(bad):
         LocalGateParams(0.0, bad, 0.3)
     with pytest.raises(ValueError, match="phase beta must be finite"):
         optimal_success_vs_phases(2, 0.0, bad)
+    with pytest.raises(ValueError, match="phase #1 must be finite"):
+        optimal_success_phase_plane(2, [0.0, bad])
 
 
 def test_phase_slice_is_the_quarter_pi_fraction():

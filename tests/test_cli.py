@@ -5,10 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import groversim
+from groversim import optimal_average, optimal_success_vs_mixing, optimal_success_vs_phases
 from groversim.cli import build_parser, main
 
 
@@ -318,6 +323,72 @@ def test_csv_numbers_round_trip(tmp_path):
     out = tmp_path / "curves.csv"
     assert main(["optimal-curves", "--fc-grid", "0:1:7", "--r", "3", "--out", str(out)]) == 0
     _, _, data = read_csv(out)
-    from groversim import optimal_average
     for _, fc_str, p_str in data:
         assert float(p_str) == optimal_average(32, 3, float(fc_str))
+
+
+fractions = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@given(n=st.integers(1, 20), data=st.data(), start=fractions, stop=fractions, count=st.integers(2, 40))
+def test_curves_equal_the_pointwise_closed_form_bit_for_bit(n, data, start, stop, count):
+    # The grid may run downward (start > stop) or collapse to one value.
+    rs = data.draw(st.lists(st.integers(1, 2**n), min_size=1, max_size=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "c.csv"
+        assert main(["optimal-curves", "--n", str(n), "--r", ",".join(map(str, rs)),
+                     "--fc-grid", f"{start!r}:{stop!r}:{count}", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+    assert [int(r) for r, _, _ in rows] == [r for r in rs for _ in range(count)]
+    for r, fc, p in rows:
+        assert float(p) == optimal_average(2**n, int(r), float(fc))
+
+
+@given(n=st.integers(1, 20), mixing_n=st.lists(st.integers(1, 20), min_size=1, max_size=3),
+       points=st.integers(2, 24))
+def test_ansatz_grid_equals_the_pointwise_slices_bit_for_bit(n, mixing_n, points):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "grid"
+        assert main(["ansatz-grid", "--n", str(n), "--mixing-n", ",".join(map(str, mixing_n)),
+                     "--points", str(points), "--out", str(out)]) == 0
+        _, _, phase_rows = read_csv(Path(tmp) / "grid_phases.csv")
+        _, _, mixing_rows = read_csv(Path(tmp) / "grid_mixing.csv")
+    assert len(phase_rows) == points**2
+    for m, alpha, beta, p in phase_rows:
+        assert float(p) == optimal_success_vs_phases(int(m), float(alpha), float(beta))
+    assert [int(m) for m, _, _ in mixing_rows] == [m for m in mixing_n for _ in range(points)]
+    for m, theta, p in mixing_rows:
+        assert float(p) == optimal_success_vs_mixing(int(m), float(theta))
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["ansatz-grid", "--points", "100000"], "--points"),
+    (["ansatz-grid", "--points", "3163"], "--points"),
+    (["optimal-curves", "--fc-grid", "0:1:1000000000"], "--fc-grid"),
+    (["optimal-curves", "--fc-grid", "0:1:10000001"], "--fc-grid"),
+])
+def test_oversized_tables_are_refused_at_parse_time(command, flag):
+    # The converter refuses the flag, so nothing is built for the huge value.
+    with pytest.raises(argparse.ArgumentError) as excinfo:
+        build_parser().parse_args(command + ["--out", "unused"])
+    assert excinfo.value.argument_name == flag
+    assert "cap of 10,000,000" in excinfo.value.message
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["optimal-curves", "--n", "10", "--r", ",".join(["1"] * 501), "--fc-grid", "0:1:20000"],
+     "--r with --fc-grid"),
+    (["ansatz-grid", "--mixing-n", ",".join(["2"] * 3200), "--points", "3162"],
+     "--mixing-n with --points"),
+])
+def test_oversized_products_of_flags_are_refused_before_building(tmp_path, capsys, command, flags):
+    assert main(command + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flags} would make a table of ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_largest_tables_within_the_cap_are_accepted():
+    args = build_parser().parse_args(["ansatz-grid", "--points", "3162", "--out", "unused"])
+    assert args.points == 3162
+    args = build_parser().parse_args(["optimal-curves", "--fc-grid", "0:1:10000000", "--out", "unused"])
+    assert args.fc_grid == "0:1:10000000"

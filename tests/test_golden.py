@@ -4,12 +4,13 @@ A change that moves any output byte shows up here as an explicit diff
 against tests/golden/<case>/. To record new outputs on purpose, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
+import argparse
 import sys
 from pathlib import Path
 
 import pytest
 
-from groversim.cli import main
+from groversim.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -86,6 +87,25 @@ def test_cli_output_matches_golden(tmp_path, case):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
     for name in files:
         assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
+
+
+def _output_forms():
+    """(command, --format value) for every output the CLI writes; None where it has no --format."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    forms = set()
+    for command, sub in subparsers.choices.items():
+        fmt = next((a for a in sub._actions if "--format" in a.option_strings), None)
+        forms.update((command, choice) for choice in (fmt.choices if fmt else [None]))
+    return forms
+
+
+def test_every_output_form_has_a_golden_case():
+    parser = build_parser()
+    pinned = set()
+    for argv, _ in CASES.values():
+        args = parser.parse_args([arg.replace("{out}", "out") for arg in argv])
+        pinned.add((args.command, getattr(args, "format", None)))
+    assert _output_forms() - pinned == set()
 
 
 if __name__ == "__main__":
