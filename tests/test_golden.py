@@ -3,8 +3,12 @@
 A change that moves any output byte shows up here as an explicit diff
 against tests/golden/<case>/. To record new outputs on purpose, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
+
+Every case runs with tests/golden/inputs/ as the working directory, so an
+input file is named relative to it: the metadata records the name as given.
 """
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -13,6 +17,7 @@ import pytest
 from groversim.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
 
 # case -> (argv with "{out}" for the output path, files the command writes)
 CASES = {
@@ -72,6 +77,10 @@ CASES = {
          "--budget", "2", "--alpha", "0.1", "--beta", "0.2", "--theta", "0.7", "--out", "{out}/mini"],
         ["mini.json", "mini_summary.csv"],
     ),
+    "minimize-objective": (
+        ["minimize", "--objective", "objective.csv", "--seeds", "0,1,2,3", "--out", "{out}/mini"],
+        ["mini.json", "mini_summary.csv"],
+    ),
 }
 
 
@@ -82,11 +91,20 @@ def _run_case(case: str, out: Path) -> list[str]:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_output_matches_golden(tmp_path, case):
+def test_cli_output_matches_golden(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(INPUTS)
     files = _run_case(case, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
     for name in files:
         assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("case", ["run-uniform", "run-ansatz"])
+def test_run_prints_the_bytes_it_would_write(capsys, case):
+    argv, (name,) = CASES[case]
+    at = argv.index("--out")
+    assert main(argv[:at] + argv[at + 2:]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / case / name).read_bytes()
 
 
 def _output_forms():
@@ -109,6 +127,7 @@ def test_every_output_form_has_a_golden_case():
 
 
 if __name__ == "__main__":
+    os.chdir(INPUTS)
     for case in sorted(CASES):
         target = GOLDEN / case
         target.mkdir(parents=True, exist_ok=True)
