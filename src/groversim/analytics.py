@@ -90,6 +90,13 @@ def _check_geometry(dim: int, r: int) -> None:
         raise ValueError(f"marked count must be an int in [1, {dim}], got {r!r}")
 
 
+def check_step_count(tau) -> int:
+    """Return tau if it is an int >= 0; raise ValueError otherwise."""
+    if not isinstance(tau, int) or tau < 0:
+        raise ValueError(f"step count must be a non-negative int, got {tau!r}")
+    return tau
+
+
 def _check_fraction(fc):
     """fc, a float or an ndarray of them, checked to lie in [0, 1 + 1e-12] and clamped to 1."""
     values = np.asarray(fc, dtype=np.float64)
@@ -128,8 +135,7 @@ def closed_form_average(dim: int, r: int, tau: int, fc: float) -> float:
     coherence fraction f_c.
     """
     theta = mixing_angle(dim, r)
-    if not isinstance(tau, int) or tau < 0:
-        raise ValueError(f"step count must be a non-negative int, got {tau!r}")
+    check_step_count(tau)
     fc = _check_fraction(fc)
     s2 = math.sin(theta * (tau + 0.5)) ** 2
     return ((dim * s2 - r) * fc + (r - s2)) / (dim - 1)

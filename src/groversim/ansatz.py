@@ -50,20 +50,19 @@ class LocalGateParams:
         return (self.alpha % _TWO_PI, self.beta % _TWO_PI)
 
 
+def _qubit(p: LocalGateParams) -> tuple[complex, complex]:
+    """U(p)|0> = (e^{ia} cos t, e^{ib} sin t): the gate's first column."""
+    return cmath.exp(1j * p.alpha) * math.cos(p.theta), cmath.exp(1j * p.beta) * math.sin(p.theta)
+
+
 def build_gate(p: LocalGateParams) -> SingleQubitGate:
     """The 2x2 unitary [[e^{ia} cos t, e^{-ib} sin t], [e^{ib} sin t, -e^{-ia} cos t]].
 
     (0, 0, pi/4) is the Hadamard gate; (0, 0, 0) is diag(1, -1).
     """
-    ea = cmath.exp(1j * p.alpha)
-    eb = cmath.exp(1j * p.beta)
-    c = math.cos(p.theta)
-    s = math.sin(p.theta)
+    zero, one = _qubit(p)
     return SingleQubitGate(
-        np.array(
-            [[ea * c, eb.conjugate() * s], [eb * s, -ea.conjugate() * c]],
-            dtype=np.complex128,
-        )
+        np.array([[zero, one.conjugate()], [one, -zero.conjugate()]], dtype=np.complex128)
     )
 
 
@@ -75,8 +74,7 @@ def prepare_ansatz_state(n: int, p: LocalGateParams) -> PureState:
     apply_product_unitary reproduces this to round-off.
     """
     check_qubit_count(n)
-    zero_amp = cmath.exp(1j * p.alpha) * math.cos(p.theta)
-    one_amp = cmath.exp(1j * p.beta) * math.sin(p.theta)
+    zero_amp, one_amp = _qubit(p)
     zero_pows = np.array([zero_amp**k for k in range(n + 1)], dtype=np.complex128)
     one_pows = np.array([one_amp**k for k in range(n + 1)], dtype=np.complex128)
     labels = np.arange(2**n, dtype=np.uint32)
@@ -88,8 +86,7 @@ def prepare_ansatz_state(n: int, p: LocalGateParams) -> PureState:
 def ansatz_coherence_fraction(n: int, p: LocalGateParams) -> float:
     """f_c of the ansatz state: |(e^{ia} cos t + e^{ib} sin t)^n|^2 / 2^n."""
     check_qubit_count(n)
-    base = cmath.exp(1j * p.alpha) * math.cos(p.theta) + cmath.exp(1j * p.beta) * math.sin(p.theta)
-    return abs(base**n) ** 2 / 2**n
+    return abs(sum(_qubit(p)) ** n) ** 2 / 2**n
 
 
 def _phase_success(n: int, ea: complex, eb: complex) -> float:

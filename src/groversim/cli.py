@@ -10,7 +10,7 @@ the same metadata under "meta". Writes are atomic (temp file + rename).
 from __future__ import annotations
 
 import argparse
-import io
+import itertools
 import json
 import math
 import os
@@ -61,13 +61,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the text chunks to a temp file beside path, then rename it to path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -82,17 +83,16 @@ def _csv_line(row) -> str:
 
 
 def _write_csv(path: Path, meta: dict, header: list[str], lines) -> None:
-    """Write the metadata prelude, the header row, then the body lines as given."""
-    buf = io.StringIO()
-    for key in sorted(meta):
-        buf.write(f"# {key}={_fmt(meta[key])}\r\n")
-    buf.write(_csv_line(header))
-    buf.writelines(lines)
-    _atomic_write_text(path, buf.getvalue())
+    """Write the metadata prelude, the header row, then the body lines as given.
+
+    Each line goes to the file as it comes, so the whole table is never held in memory.
+    """
+    prelude = [f"# {key}={_fmt(meta[key])}\r\n" for key in sorted(meta)]
+    _atomic_write(path, itertools.chain(prelude, [_csv_line(header)], lines))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, [json.dumps(payload, sort_keys=True, indent=2), "\n"])
 
 
 def _write_table(path: Path, fmt: str, meta: dict, header: list[str], rows) -> None:
@@ -209,6 +209,14 @@ def _fc_grid(text: str) -> str:
 
 
 @_flag_type
+def _steps(text: str) -> int:
+    """--tau of run: its trace holds tau + 1 values."""
+    tau = _number(int, 0)(text)
+    _check_rows(tau + 1)
+    return tau
+
+
+@_flag_type
 def _points(text: str) -> int:
     """--points of ansatz-grid: its phase table has points**2 rows."""
     points = _number(int, 2)(text)
@@ -239,13 +247,18 @@ def cmd_verify_average(args) -> int:
     cells = [(n, r) for n in args.n for r in args.r if r <= 2**n]
     if not cells:
         raise ValueError(f"every --r entry exceeds N = 2**n = {2**max(args.n)} for the largest --n")
+    _check_rows(len(cells) * (2 + args.states) * (args.tau + 1), "--n, --r, --states and --tau")
+    for n, r in cells:
+        subsets = math.comb(2**n, r)
+        if subsets > args.cap:
+            raise ValueError(f"--cap {args.cap} is below C({2**n}, {r}) = {subsets:,} subsets")
 
     def sweep_cell(cell: tuple[int, int]) -> list[tuple]:
         n, r = cell
         dim = 2**n
         rng = np.random.default_rng([args.seed, n, r])
-        states = [("basis", basis_state(n)), ("uniform", equal_superposition(n))]
-        states += [("random", _random_state(n, rng)) for _ in range(args.states)]
+        randoms = (("random", _random_state(n, rng)) for _ in range(args.states))
+        states = itertools.chain([("basis", basis_state(n)), ("uniform", equal_superposition(n))], randoms)
         rows = []
         for state_id, (kind, psi) in enumerate(states):
             fc = coherence_fraction(psi)
@@ -365,7 +378,10 @@ def cmd_run(args) -> int:
 def cmd_minimize(args) -> int:
     """Threshold-descent minimization over seeds, with an aggregate summary."""
     if args.objective:
-        table = ObjectiveTable.from_csv(args.objective)
+        try:
+            table = ObjectiveTable.from_csv(args.objective)
+        except (ValueError, OSError) as exc:
+            raise ValueError(f"--objective {exc}") from None
         objective_meta = {"objective": str(args.objective)}
     else:
         table = make_objective(args.generator, args.objective_n, args.objective_seed)
@@ -412,11 +428,11 @@ def cmd_minimize(args) -> int:
         for rep, hit in zip(reports, hits)
     ]
     rows.append(("aggregate", "", "", sum(r.oracle_calls_used for r in reports), "", "", rate))
-    _write_csv(
-        csv_path, meta,
+    _write_table(
+        csv_path, "csv", meta,
         ["seed", "result_index", "result_value", "oracle_calls_used",
          "converged", "stop_reason", "found_minimum"],
-        map(_csv_line, rows),
+        rows,
     )
     print(
         f"minimize: {sum(hits)}/{len(reports)} seeds reached the minimum "
@@ -499,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("run", help="single search run with per-step success trace")
     p.add_argument("--n", type=_qubits, required=True, help="qubit count")
     p.add_argument("--marked", type=_marked, required=True, help="comma-separated marked indices")
-    p.add_argument("--tau", type=_number(int, 0), required=True, help="number of Grover steps")
+    p.add_argument("--tau", type=_steps, required=True, help="number of Grover steps")
     _add_state_flags(p)
     p.add_argument("--out", default=None, help="output JSON file (stdout when omitted)")
     p.set_defaults(func=cmd_run)

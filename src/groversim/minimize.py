@@ -79,24 +79,21 @@ class ObjectiveTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ObjectiveTable":
-        """Load from a two-column CSV "index,value" with a header row."""
+        """Load from a CSV "index,value" with a header row; the indices, sorted, must be 0..N-1."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip().lower() for h in header[:2]] != ["index", "value"]:
                 raise ValueError(f"{path}: expected header 'index,value'")
-            pairs = [(int(row[0]), float(row[1])) for row in reader if row]
+            try:
+                pairs = sorted((int(i), float(v)) for i, v, *_ in filter(None, reader))
+            except (ValueError, csv.Error) as exc:
+                raise ValueError(f"{path}: line {reader.line_num} is not 'index,value': {exc}") from None
         if not pairs:
             raise ValueError(f"{path}: no data rows")
-        size = len(pairs)
-        vals = np.full(size, np.nan)
-        for i, v in pairs:
-            if not 0 <= i < size:
-                raise ValueError(f"{path}: index {i} out of range for {size} rows")
-            vals[i] = v
-        if np.isnan(vals).any():
-            raise ValueError(f"{path}: indices must cover 0..{size - 1} exactly once")
-        return cls.from_values(vals)
+        if [i for i, _ in pairs] != list(range(len(pairs))):
+            raise ValueError(f"{path}: indices must cover 0..{len(pairs) - 1} exactly once")
+        return cls.from_values([v for _, v in pairs])
 
 
 def make_objective(kind: str, n: int, seed: int) -> ObjectiveTable:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .analytics import mixing_angle
+from .analytics import check_step_count, mixing_angle
 from .states import PureState, check_qubit_count
 
 ENUMERATION_CAP = 10_000_000
@@ -73,10 +73,8 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         theta = mixing_angle(2 ** check_qubit_count(self.n), self.r)
-        if not isinstance(self.tau, int) or self.tau < 0:
-            raise ValueError(f"step count must be a non-negative int, got {self.tau!r}")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "vartheta", theta * (self.tau + 0.5))
+        object.__setattr__(self, "vartheta", theta * (check_step_count(self.tau) + 0.5))
 
     @property
     def dimension(self) -> int:

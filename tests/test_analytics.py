@@ -183,6 +183,13 @@ def test_density_fraction_matches_pure_fraction(rng):
     assert coherence_fraction_density(rho) == pytest.approx(coherence_fraction(psi), abs=1e-12)
 
 
+def test_density_fraction_rejects_an_imaginary_entry_sum():
+    # Hermitian within the matrix's 1e-10, but the entries sum to 1 + 1e-11j.
+    rho = SmallDensityMatrix(np.array([[0.5, 1e-11j], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="imaginary part"):
+        coherence_fraction_density(rho)
+
+
 def test_density_from_mixture_matches_mixture_fraction(rng):
     weights = rng.dirichlet(np.ones(3))
     mix = StateMixture(tuple((float(w), random_state(2, rng)) for w in weights))

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import groversim
-from groversim import optimal_average, optimal_success_vs_mixing, optimal_success_vs_phases
+from groversim import cli, optimal_average, optimal_success_vs_mixing, optimal_success_vs_phases
 from groversim.cli import build_parser, main
 
 
@@ -185,6 +185,25 @@ def test_minimize_rejects_missing_objective_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, says", [
+    ("0,4\n1\n", "line 3 is not 'index,value'"),
+    ("0,4\n1,nan\n", "finite"),
+    ("0,4\n1,x\n", "line 3 is not 'index,value'"),
+    ("0,4\n1," + "9" * 200_000 + "\n", "line 3 is not 'index,value'"),
+    ("0,4\n0,9\n", "cover 0..1"),
+    ("0,4\n2,9\n", "cover 0..1"),
+    (None, "No such file"),
+])
+def test_bad_objective_files_name_the_flag(tmp_path, monkeypatch, capsys, body, says):
+    monkeypatch.chdir(tmp_path)
+    if body is not None:
+        Path("obj.csv").write_text("index,value\n" + body)
+    assert main(["minimize", "--objective", "obj.csv", "--seeds", "0", "--out", "out/mini"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --objective ") and says in err
+    assert not Path("out").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["run", "--n", "4", "--marked", "1", "--tau", "1"],
     ["minimize", "--objective-n", "4", "--seeds", "0"],
@@ -227,6 +246,9 @@ def test_minimize_rejects_out_of_range_objective_n(tmp_path, capsys, objective_n
     (["run", "--n", "21", "--marked", "1", "--tau", "1", "--uniform"], "--n"),
     (["run", "--n", "3", "--marked", "1", "--tau", "-1", "--uniform"], "--tau"),
     (["minimize", "--objective-n", "3", "--initial-reach", "inf"], "--initial-reach"),
+    (["optimal-curves", "--n", "3", "--r", "9"], "--r"),
+    (["optimal-curves", "--r", ","], "--r"),
+    (["optimal-curves", "--fc-grid", "0:1:1"], "--fc-grid"),
 ])
 def test_bad_values_name_their_flag(tmp_path, capsys, command, flag):
     assert main(command + ["--out", str(tmp_path / "out")]) == 2
@@ -366,6 +388,7 @@ def test_ansatz_grid_equals_the_pointwise_slices_bit_for_bit(n, mixing_n, points
     (["ansatz-grid", "--points", "3163"], "--points"),
     (["optimal-curves", "--fc-grid", "0:1:1000000000"], "--fc-grid"),
     (["optimal-curves", "--fc-grid", "0:1:10000001"], "--fc-grid"),
+    (["run", "--n", "3", "--marked", "1", "--tau", "10000000"], "--tau"),
 ])
 def test_oversized_tables_are_refused_at_parse_time(command, flag):
     # The converter refuses the flag, so nothing is built for the huge value.
@@ -387,8 +410,35 @@ def test_oversized_products_of_flags_are_refused_before_building(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_oversized_verify_tables_are_refused_before_any_cell(tmp_path, capsys, monkeypatch):
+    # 1 cell x (2 + 2 states) x 3 step counts = 12 rows, over a cap of 11.
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", 11)
+    ran = []
+    monkeypatch.setattr(cli, "average_trajectory_over_all_sets", lambda *a, **k: ran.append(a))
+    argv = ["verify-average", "--n", "2", "--r", "1", "--tau", "2", "--out", str(tmp_path / "v.csv")]
+    assert main(argv + ["--states", "2"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --n, --r, --states and --tau would make a table of 12 rows, more than the cap of 11")
+    assert ran == [] and list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", 12)
+    monkeypatch.setattr(cli, "average_trajectory_over_all_sets", groversim.average_trajectory_over_all_sets)
+    assert main(argv + ["--states", "2"]) == 0
+    assert len(read_csv(tmp_path / "v.csv")[2]) == 12
+
+
+def test_verify_checks_the_cap_of_every_cell_before_the_first(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "average_trajectory_over_all_sets", lambda *a, **k: ran.append(a))
+    assert main(["verify-average", "--n", "4", "--r", "1,2", "--cap", "100", "--states", "0",
+                 "--tau", "1", "--out", str(tmp_path / "v.csv")]) == 2
+    assert capsys.readouterr().err == "error: --cap 100 is below C(16, 2) = 120 subsets\n"
+    assert ran == [] and list(tmp_path.iterdir()) == []
+
+
 def test_largest_tables_within_the_cap_are_accepted():
     args = build_parser().parse_args(["ansatz-grid", "--points", "3162", "--out", "unused"])
     assert args.points == 3162
     args = build_parser().parse_args(["optimal-curves", "--fc-grid", "0:1:10000000", "--out", "unused"])
     assert args.fc_grid == "0:1:10000000"
+    args = build_parser().parse_args(["run", "--n", "3", "--marked", "1", "--tau", "9999999"])
+    assert args.tau == 9999999

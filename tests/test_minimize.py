@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,11 @@ def test_table_rejects_non_power_of_two():
         ObjectiveTable.from_values([1.0, 2.0, 3.0])
 
 
+def test_table_rejects_a_wrong_shape():
+    with pytest.raises(ValueError, match=r"expected 4 values for n=2, got shape \(3,\)"):
+        ObjectiveTable(2, np.zeros(3))
+
+
 def test_table_rejects_non_finite_values():
     with pytest.raises(ValueError, match="finite"):
         ObjectiveTable.from_values([0.0, math.inf])
@@ -66,6 +72,23 @@ def test_table_csv_requires_header_and_full_coverage(tmp_path):
         ObjectiveTable.from_csv(p)
     p.write_text("index,value\n0,3.5\n0,2.0\n")
     with pytest.raises(ValueError, match="cover"):
+        ObjectiveTable.from_csv(p)
+    p.write_text("index,value\n0,3.5\n2,2.0\n")
+    with pytest.raises(ValueError, match="cover"):
+        ObjectiveTable.from_csv(p)
+
+
+def test_table_csv_takes_rows_in_any_order(tmp_path):
+    p = tmp_path / "obj.csv"
+    p.write_text("index,value\n2,0\n0,3.5\n\n3,7\n1,-1.25\n")
+    np.testing.assert_array_equal(ObjectiveTable.from_csv(p).values, [3.5, -1.25, 0.0, 7.0])
+
+
+@pytest.mark.parametrize("row", ["1", "1,x", "y,2", "1.5,2"])
+def test_table_csv_names_the_file_and_line_of_a_bad_row(tmp_path, row):
+    p = tmp_path / "obj.csv"
+    p.write_text(f"index,value\n0,3.5\n{row}\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}: line 3 is not 'index,value': ")):
         ObjectiveTable.from_csv(p)
 
 

@@ -28,6 +28,8 @@ def test_basis_state_puts_unit_mass_on_one_index():
     assert s.dimension == 8
     assert s.amplitudes[5] == 1.0
     assert np.count_nonzero(s.amplitudes) == 1
+    with pytest.raises(ValueError, match="basis index 4 out of range for n=2"):
+        basis_state(2, 4)
 
 
 def test_equal_superposition_is_uniform():
@@ -173,6 +175,8 @@ def test_mixture_validation():
         StateMixture(((0.0, a), (1.0, b)))
     with pytest.raises(ValueError, match="same qubit count"):
         StateMixture(((0.5, a), (0.5, basis_state(2))))
+    with pytest.raises(ValueError, match="not a PureState"):
+        StateMixture(((1.0, a.amplitudes),))
 
 
 def test_mixture_exposes_shared_shape():
