@@ -29,6 +29,7 @@ from .ansatz import (
     optimal_success_vs_mixing,
     prepare_ansatz_state,
 )
+from .kernels import MAX_SUBSETS, subset_count
 from .minimize import (
     GENERATOR_KINDS,
     ObjectiveTable,
@@ -142,7 +143,7 @@ def _flag_type(convert):
     return checked
 
 
-def _number(kind, minimum=None):
+def _number(kind, minimum=None, maximum=None):
     @_flag_type
     def convert(text: str):
         try:
@@ -151,6 +152,8 @@ def _number(kind, minimum=None):
             raise ValueError(f"{text!r} is not {'an int' if kind is int else 'a number'}") from None
         if minimum is not None and value < minimum:
             raise ValueError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ValueError(f"must be <= {maximum}, got {value}")
         return value
     return convert
 
@@ -249,9 +252,10 @@ def cmd_verify_average(args) -> int:
         raise ValueError(f"every --r entry exceeds N = 2**n = {2**max(args.n)} for the largest --n")
     _check_rows(len(cells) * (2 + args.states) * (args.tau + 1), "--n, --r, --states and --tau")
     for n, r in cells:
-        subsets = math.comb(2**n, r)
-        if subsets > args.cap:
-            raise ValueError(f"--cap {args.cap} is below C({2**n}, {r}) = {subsets:,} subsets")
+        subsets = subset_count(2**n, r)
+        if subsets is None or subsets > args.cap:
+            shown = "2**63 or more" if subsets is None else f"{subsets:,}"
+            raise ValueError(f"--cap {args.cap} is below C({2**n}, {r}) = {shown} subsets")
 
     def sweep_cell(cell: tuple[int, int]) -> list[tuple]:
         n, r = cell
@@ -482,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_number(int, 0), default=8, help="largest step count (sweeps 0..tau)")
     p.add_argument("--states", type=_number(int, 0), default=20, help="random initial states per cell")
     p.add_argument("--seed", type=_number(int, 0), default=0, help="base RNG seed for the random states")
-    p.add_argument("--cap", type=_number(int, 1), default=ENUMERATION_CAP, help="subset enumeration cap")
+    p.add_argument("--cap", type=_number(int, 1, MAX_SUBSETS), default=ENUMERATION_CAP,
+                   help="subset enumeration cap")
     p.add_argument("--out", required=True, help="output file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_verify_average)

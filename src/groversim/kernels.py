@@ -17,21 +17,53 @@ assembly after the steps. A marked index set must hold distinct in-range
 indices (MarkedSet guarantees both): a repeated index would be counted
 twice in sum(A).
 
-The all-subsets average enumerates subsets in lexicographic chunks of at
-most _CHUNK_ELEMENTS marked amplitudes (one subset when r is larger), so
-the workspace does not grow with C(N, r). Each chunk is summed with
-np.sum and the chunk subtotals are added exactly (math.fsum), so the
-subset average is run-to-run deterministic.
+The all-subsets average steps subsets in lexicographic chunks of at most
+_CHUNK_ELEMENTS marked amplitudes (one subset when r is larger), so the
+workspace does not grow with C(N, r). Each chunk is summed with np.sum and
+the chunk subtotals are added exactly (math.fsum), so the subset average is
+run-to-run deterministic.
+
+A chunk's (r, k) index block is built with numpy by unranking, not by
+iterating: lexicographic rank j of an r-subset is colex rank C(N, r)-1-j of
+its mirror {N-1-x}, and colex rank m decodes one element per level, the
+largest d with C(d, l) <= m at level l. Above r = N/2 the block decodes the
+N-r missing indices instead (the mirror of the j-th subset's complement has
+colex rank j) and fills in the rest arithmetically, so a chunk costs
+q = min(r, N-r) levels of np.searchsorted. Level l's table holds C(d, l) for
+the N-q+1 values d can take there, and level 1 needs none (C(d, 1) = d). The
+q-1 tables are built once per call, so beside the chunk's O(_CHUNK_ELEMENTS)
+arrays the workspace holds (q-1)(N-q+1) int64 entries: 2**11 - 1 of them at
+N = 2**11, r = 2. Ranks are int64, so an enumeration holds at most
+MAX_SUBSETS = 2**63 - 1 subsets.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 # Marked amplitudes per subset-averaging chunk: 1 MiB of complex128.
 _CHUNK_ELEMENTS = 1 << 16
+# The most subsets one enumeration can rank in int64.
+MAX_SUBSETS = 2**63 - 1
+
+
+def subset_count(dim: int, r: int) -> int | None:
+    """C(dim, r), or None when it exceeds MAX_SUBSETS.
+
+    Multiplies up C(dim, k+1) = C(dim, k)(dim-k)/(k+1) for k < min(r, dim-r).
+    These partial counts never decrease, so the product stops as soon as one
+    passes MAX_SUBSETS: refusing C(2**20, 2**19) takes a few steps, not the
+    seconds its exact value would.
+    """
+    if r > dim:
+        return 0
+    count = 1
+    for k in range(min(r, dim - r)):
+        count = count * (dim - k) // (k + 1)
+        if count > MAX_SUBSETS:
+            return None
+    return count
 
 
 def grover_evolve(amps: np.ndarray, marked, tau: int) -> np.ndarray:
@@ -78,26 +110,88 @@ def success_trajectory(amps: np.ndarray, marked, tau_max: int) -> np.ndarray:
     return out
 
 
+def _binomial_tables(width: int, levels: int) -> list[np.ndarray]:
+    """C(l-1+j, l) for j < width, one table per level l = 2..levels.
+
+    Pascal's rule C(d, l) = C(d-1, l) + C(d-1, l-1) makes each table the
+    running sum of the one below it, shifted by one place.
+    """
+    tables = []
+    table = np.arange(width, dtype=np.int64)             # C(j, 1) = j
+    for _ in range(2, levels + 1):
+        table = np.concatenate(([0], np.cumsum(table[1:])))
+        tables.append(table)
+    return tables
+
+
+def _index_blocks(dim: int, r: int, start: int = 0, stop: int | None = None):
+    """Yield the r-subsets of range(dim) of lexicographic rank start..stop-1 as index blocks.
+
+    Each block is a C-contiguous (r, k) intp array, one sorted subset per
+    column, in itertools.combinations order; blocks hold
+    max(1, _CHUNK_ELEMENTS // r) subsets, the last one fewer. stop defaults
+    to C(dim, r), which must not exceed MAX_SUBSETS.
+    """
+    count = subset_count(dim, r)
+    if count is None:
+        raise ValueError(f"C({dim}, {r}) is more subsets than int64 ranks can enumerate")
+    stop = count if stop is None else stop
+    levels = min(r, dim - r)                             # decode the subset or its complement
+    tables = _binomial_tables(dim - levels + 1, levels)
+    ith = np.arange(r, dtype=np.intp)[:, None]
+    rows = max(1, _CHUNK_ELEMENTS // r)
+    for first in range(start, stop, rows):
+        last = min(first + rows, stop)
+        if levels == r:
+            yield _unrank(np.arange(count - 1 - first, count - 1 - last, -1), dim, levels, tables)
+        else:
+            yield _fill_around(_unrank(np.arange(first, last), dim, levels, tables), ith)
+
+
+def _unrank(ranks: np.ndarray, dim: int, levels: int, tables: list[np.ndarray]) -> np.ndarray:
+    """The (levels, k) sorted subsets whose mirrors have these colex ranks."""
+    out = np.empty((levels, ranks.shape[0]), dtype=np.intp)
+    for i in range(levels - 1):
+        table = tables[levels - 2 - i]                   # C(d, l) at level l = levels - i
+        pos = table[1:].searchsorted(ranks, side="right")  # table[0] = 0 is at most every rank
+        ranks = ranks - table[pos]
+        np.subtract(dim - levels + i, pos, out=out[i])   # the mirror of d = l - 1 + pos
+    if levels:
+        np.subtract(dim - 1, ranks, out=out[-1])         # C(d, 1) = d
+    return out
+
+
+def _fill_around(missing: np.ndarray, ith: np.ndarray) -> np.ndarray:
+    """The (r, k) sorted subsets that avoid each column of the sorted (q, k) `missing`.
+
+    ith is the column arange(r)[:, None]. The i-th smallest kept index is i
+    plus the number of missing ones below it, and missing[p] lies below it
+    exactly when missing[p] - p <= i.
+    """
+    out = np.repeat(ith, missing.shape[1], axis=1)
+    for p, row in enumerate(missing):
+        out += row - p <= ith
+    return out
+
+
 def average_trajectory(amps: np.ndarray, r: int, tau_max: int) -> np.ndarray:
     """Success mass after 0..tau_max steps, averaged over every r-subset.
 
     Enumerates all C(dim, r) marked sets; callers are responsible for
-    capping the enumeration size before invoking this. Each subset is
+    capping the enumeration size before invoking this, and a count above
+    MAX_SUBSETS raises ValueError. Each subset is
     stepped on its r marked amplitudes and the running total of all
     amplitudes, which is everything the next marked amplitudes depend on.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     dim = amps.shape[0]
-    count = math.comb(dim, r)
-    rows = max(1, _CHUNK_ELEMENTS // r)
+    count = 0
     start_total = amps.sum()
     partials: list[list[float]] = [[] for _ in range(tau_max + 1)]
-    combos = itertools.combinations(range(dim), r)
-    for start in range(0, count, rows):
-        k = min(rows, count - start)
-        flat = itertools.chain.from_iterable(itertools.islice(combos, k))
-        sel = np.fromiter(flat, dtype=np.intp, count=k * r).reshape(k, r)
-        marked = np.ascontiguousarray(amps[sel].T)      # (r, k): one column per subset
+    for block in _index_blocks(dim, r):
+        marked = amps[block]                             # (r, k): one column per subset
+        k = marked.shape[1]
+        count += k
         parts = marked.view(np.float64)                  # real and imaginary parts
         total = np.full(k, start_total)
         partials[0].append(float(np.sum(parts * parts)))

@@ -209,12 +209,18 @@ def average_over_all_sets(
 def average_trajectory_over_all_sets(
     initial: PureState, r: int, tau_max: int, cap: int = ENUMERATION_CAP
 ) -> np.ndarray:
-    """All-subsets average success mass after each of 0..tau_max steps."""
+    """All-subsets average success mass after each of 0..tau_max steps.
+
+    The enumeration ranks subsets in int64, so a cap above
+    kernels.MAX_SUBSETS acts as that bound.
+    """
     SearchConfig(initial.n, r, tau_max)
-    total = math.comb(initial.dimension, r)
-    if total > cap:
+    total = kernels.subset_count(initial.dimension, r)
+    if total is None or total > cap:
+        shown = "2**63 or more" if total is None else total
         raise EnumerationCapError(
-            f"C({initial.dimension}, {r}) = {total} subsets exceeds the enumeration cap {cap}"
+            f"C({initial.dimension}, {r}) = {shown} subsets exceeds the enumeration cap "
+            f"{min(cap, kernels.MAX_SUBSETS)}"
         )
     return kernels.average_trajectory(initial.amplitudes, r, tau_max)
 

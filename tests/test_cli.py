@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -232,6 +233,8 @@ def test_minimize_rejects_out_of_range_objective_n(tmp_path, capsys, objective_n
     (["run", "--n", "3", "--marked", "1", "--tau", "1",
       "--alpha", "0", "--beta", "0", "--theta", "3"], "--theta"),
     (["verify-average", "--n", "2", "--r", "1", "--cap", "-1"], "--cap"),
+    # subset ranks are int64, so no cap above 2**63 - 1 can be honoured
+    (["verify-average", "--n", "2", "--r", "1", "--cap", str(2**63)], "--cap"),
     (["verify-average", "--n", "2", "--r", "1", "--seed", "-1"], "--seed"),
     (["minimize", "--objective-n", "3", "--objective-seed", "-5"], "--objective-seed"),
     (["optimal-curves", "--fc-grid", "0:1:x"], "--fc-grid"),
@@ -433,6 +436,17 @@ def test_verify_checks_the_cap_of_every_cell_before_the_first(tmp_path, capsys, 
                  "--tau", "1", "--out", str(tmp_path / "v.csv")]) == 2
     assert capsys.readouterr().err == "error: --cap 100 is below C(16, 2) = 120 subsets\n"
     assert ran == [] and list(tmp_path.iterdir()) == []
+
+
+def test_vast_cells_are_refused_without_their_exact_count(tmp_path, capsys):
+    # C(2**20, 2**19) has 315,653 digits; working it out exactly takes about 11 s
+    argv = ["verify-average", "--n", "20", "--r", "524288", "--out", str(tmp_path / "v.csv")]
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == (
+        "error: --cap 10000000 is below C(1048576, 524288) = 2**63 or more subsets\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_largest_tables_within_the_cap_are_accepted():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,127 @@ def test_average_chunking_perturbs_nothing_beyond_roundoff(rng, monkeypatch):
     np.testing.assert_allclose(chunked, expected, rtol=0, atol=1e-14)
     # and a fixed configuration is bit-for-bit repeatable
     np.testing.assert_array_equal(kernels.average_trajectory(amps, 2, 3), chunked)
+
+
+def _itertools_average_trajectory(amps, r, tau_max):
+    """The all-subsets kernel as it was before unranking: itertools builds the index blocks.
+
+    Kept verbatim, but for reading the chunk size from the module, as the
+    reference the unranking kernel must match bit for bit.
+    """
+    amps = np.asarray(amps, dtype=np.complex128)
+    dim = amps.shape[0]
+    count = math.comb(dim, r)
+    rows = max(1, kernels._CHUNK_ELEMENTS // r)
+    start_total = amps.sum()
+    partials: list[list[float]] = [[] for _ in range(tau_max + 1)]
+    combos = itertools.combinations(range(dim), r)
+    for start in range(0, count, rows):
+        k = min(rows, count - start)
+        flat = itertools.chain.from_iterable(itertools.islice(combos, k))
+        sel = np.fromiter(flat, dtype=np.intp, count=k * r).reshape(k, r)
+        marked = np.ascontiguousarray(amps[sel].T)      # (r, k): one column per subset
+        parts = marked.view(np.float64)                  # real and imaginary parts
+        total = np.full(k, start_total)
+        partials[0].append(float(np.sum(parts * parts)))
+        for t in range(1, tau_max + 1):
+            total -= 2.0 * marked.sum(axis=0)
+            marked += (2.0 / dim) * total
+            partials[t].append(float(np.sum(parts * parts)))
+    out = np.array([math.fsum(p) for p in partials], dtype=np.float64)
+    return out / count
+
+
+def _lex_rank(subset, dim):
+    """Rank of a sorted subset in itertools.combinations order, by counting the subsets before it."""
+    r, rank, low = len(subset), 0, 0
+    for i, x in enumerate(subset):
+        rank += sum(math.comb(dim - 1 - y, r - 1 - i) for y in range(low, x))
+        low = x + 1
+    return rank
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, kernels._CHUNK_ELEMENTS])
+def test_index_blocks_follow_itertools_order(monkeypatch, chunk):
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", chunk)
+    for dim in range(1, 13):
+        for r in range(1, dim + 1):
+            blocks = list(kernels._index_blocks(dim, r))
+            rows = max(1, chunk // r)
+            assert [b.shape for b in blocks[:-1]] == [(r, rows)] * (len(blocks) - 1)
+            assert 1 <= blocks[-1].shape[1] <= rows
+            assert all(b.dtype == np.intp and b.flags.c_contiguous for b in blocks)
+            np.testing.assert_array_equal(
+                np.concatenate(blocks, axis=1).T, list(itertools.combinations(range(dim), r)),
+                err_msg=f"dim={dim} r={r} chunk={chunk}",
+            )
+
+
+@settings(deadline=None, max_examples=100)
+@given(dim=st.integers(1, 64), data=st.data())
+def test_index_blocks_unrank_any_rank_range(dim, data):
+    r = data.draw(st.integers(1, dim))
+    count = math.comb(dim, r)
+    start = data.draw(st.integers(0, count - 1))
+    stop = data.draw(st.integers(start + 1, min(count, start + 40)))
+    block = np.concatenate(list(kernels._index_blocks(dim, r, start, stop)), axis=1)
+    assert block.shape == (r, stop - start)
+    assert (np.diff(block, axis=0) > 0).all() and block[0].min() >= 0 and block[-1].max() < dim
+    assert [_lex_rank(col.tolist(), dim) for col in block.T] == list(range(start, stop))
+
+
+def test_index_blocks_reach_the_last_int64_rank():
+    # C(66, 33) = 7.2e18 is just below 2**63; C(67, 33) = 1.4e19 is above it
+    count = math.comb(66, 33)
+    assert kernels.subset_count(66, 33) == count < 2**63 < math.comb(67, 33)
+    block = next(kernels._index_blocks(66, 33, count - 3))
+    assert [_lex_rank(col.tolist(), 66) for col in block.T] == [count - 3, count - 2, count - 1]
+    with pytest.raises(ValueError, match="more subsets than int64 ranks can enumerate"):
+        next(kernels._index_blocks(67, 33))
+    with pytest.raises(ValueError, match="more subsets than int64 ranks can enumerate"):
+        kernels.average_trajectory(np.ones(128) / math.sqrt(128), 64, 0)
+
+
+def test_subset_count_is_exact_up_to_int64():
+    for dim in range(0, 90):
+        for r in range(0, dim + 2):
+            exact = math.comb(dim, r)
+            assert kernels.subset_count(dim, r) == (exact if exact <= kernels.MAX_SUBSETS else None)
+
+
+def _identity_cells(chunk):
+    """(n, r) cells with n <= 8 and r <= 4; chunks of a few subsets get the smaller ones."""
+    most = 40_000 if chunk >= 4096 else 260
+    return [(n, r) for n in range(1, 9) for r in range(1, min(4, 2**n) + 1) if math.comb(2**n, r) <= most]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096, kernels._CHUNK_ELEMENTS])
+def test_average_is_bit_identical_to_the_itertools_kernel(rng, monkeypatch, chunk):
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", chunk)
+    for n, r in _identity_cells(chunk):
+        states = {"basis": basis_state(n), "uniform": equal_superposition(n), "random": random_state(n, rng)}
+        for kind, psi in states.items():
+            np.testing.assert_array_equal(
+                kernels.average_trajectory(psi.amplitudes, r, 3),
+                _itertools_average_trajectory(psi.amplitudes, r, 3),
+                err_msg=f"{kind} state, n={n} r={r} chunk={chunk}",
+            )
+
+
+def test_average_workspace_is_bounded_at_r_2(rng, monkeypatch):
+    # r = 2 decodes through the longest binomial table, N - 1 entries; the
+    # C(2048, 2) subsets come in chunks of 2048
+    amps = random_state(11, rng).amplitudes
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 4096)
+    tracemalloc.start()
+    try:
+        got = kernels.average_trajectory(amps, 2, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # every index lies in 2047 of the pairs, so the mean marked mass is 2/N
+    np.testing.assert_allclose(got, [2 / 2048], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("r", [1023, 1024])

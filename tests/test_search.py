@@ -172,6 +172,15 @@ def test_enumeration_cap_is_enforced():
         average_over_all_sets(equal_superposition(5), 3, 1, cap=100)
 
 
+def test_enumeration_cap_refuses_vast_counts_at_once():
+    # an exact C(2**20, 2**19) would take seconds; the refusal needs a few products
+    with pytest.raises(EnumerationCapError, match=r"^C\(1048576, 524288\) = 2\*\*63 or more subsets"):
+        average_over_all_sets(equal_superposition(20), 2**19, 1)
+    # past int64 ranks no cap applies, however large
+    with pytest.raises(EnumerationCapError, match=f"exceeds the enumeration cap {2**63 - 1}$"):
+        average_over_all_sets(equal_superposition(7), 64, 1, cap=2**70)
+
+
 # ------------------------------------------------------------ subspace model
 
 def test_config_angles():
