@@ -233,8 +233,6 @@ def test_minimize_rejects_out_of_range_objective_n(tmp_path, capsys, objective_n
     (["run", "--n", "3", "--marked", "1", "--tau", "1",
       "--alpha", "0", "--beta", "0", "--theta", "3"], "--theta"),
     (["verify-average", "--n", "2", "--r", "1", "--cap", "-1"], "--cap"),
-    # subset ranks are int64, so no cap above 2**63 - 1 can be honoured
-    (["verify-average", "--n", "2", "--r", "1", "--cap", str(2**63)], "--cap"),
     (["verify-average", "--n", "2", "--r", "1", "--seed", "-1"], "--seed"),
     (["minimize", "--objective-n", "3", "--objective-seed", "-5"], "--objective-seed"),
     (["optimal-curves", "--fc-grid", "0:1:x"], "--fc-grid"),
@@ -252,6 +250,8 @@ def test_minimize_rejects_out_of_range_objective_n(tmp_path, capsys, objective_n
     (["optimal-curves", "--n", "3", "--r", "9"], "--r"),
     (["optimal-curves", "--r", ","], "--r"),
     (["optimal-curves", "--fc-grid", "0:1:1"], "--fc-grid"),
+    # subset ranks are int64, so no cap above 2**63 - 1 can be honoured
+    (["verify-average", "--n", "2", "--r", "1", "--cap", str(2**63)], "--cap"),
 ])
 def test_bad_values_name_their_flag(tmp_path, capsys, command, flag):
     assert main(command + ["--out", str(tmp_path / "out")]) == 2
