@@ -34,8 +34,8 @@ from .minimize import (
     GENERATOR_KINDS,
     ObjectiveTable,
     SearchSchedule,
+    _minimizations,
     make_objective,
-    run_minimization,
 )
 from .search import (
     ENUMERATION_CAP,
@@ -63,13 +63,20 @@ def _fmt(value) -> str:
 
 
 def _atomic_write(path: Path, chunks) -> None:
-    """Write the text chunks to a temp file beside path, then rename it to path."""
+    """Write the text chunks to a temp file beside path, then rename it to path.
+
+    mkstemp makes the temp file 0600; it gets the mode open() would give a
+    new file, 0666 less the umask, before it takes path's place.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -400,8 +407,13 @@ def cmd_minimize(args) -> int:
         max_oracle_calls=args.budget,
     )
     init_params = _ansatz_params(args)
+    prep = (
+        equal_superposition(table.n)
+        if init_params is None
+        else prepare_ansatz_state(table.n, init_params)
+    )
 
-    reports = [run_minimization(table, init_params, schedule, seed) for seed in args.seeds]
+    reports = _minimizations(table, prep, schedule, args.seeds)
     true_min = float(table.values.min())
     hits = [rep.result_value == true_min for rep in reports]
     rate = sum(hits) / len(reports)

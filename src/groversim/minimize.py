@@ -16,15 +16,23 @@ the marked sum in O(j) (the recurrence of kernels.py). Summing
     F(x) = P[x] + 2s Re(conj(c) R[x]) + |c|**2 (x + 1)
            + 2 Re((conj(b) - s conj(c)) RM[k]) + k (|b|**2 - |c|**2),
 
-where P and R are the prefix sums of |v0|**2 and v0 (built once per run,
-O(N)), k counts the marked indices <= x, and RM[k] sums v0 over the
-first k of them (once per round, O(r)). The expansion is exact algebra,
-so F equals the dense cumsum of the evolved probabilities up to
-rounding. An attempt evaluates F on a grid of every sqrt(N)-th index,
-then on the one block that holds the draw, and returns the first x with
+where P and R are the prefix sums of |v0|**2 and v0, k counts the marked
+indices <= x, and RM[k] sums v0 over the first k of them. The expansion
+is exact algebra, so F equals the dense cumsum of the evolved
+probabilities up to rounding. An attempt returns the first x with
 F(x) > u F(N - 1) for its single rng.random() u: the index the dense
 cumsum and searchsorted pick, unless u lies within rounding of a CDF
-step. One attempt costs O(sqrt(N) log r).
+step.
+
+An attempt pays only for the steps it takes:
+- P and R cost O(N) once per start state: once per run_minimization
+  call, and once for all the seeds of a CLI minimize invocation.
+- A zero-step attempt has b = c = 0, so F is P itself: one binary
+  search, O(log N).
+- A round's setup (its marked indices, O(N), and RM, O(r)) happens only
+  once an attempt takes a step. Such an attempt evaluates F on a grid of
+  every sqrt(N)-th index, kept per step count for the rest of the round,
+  then on the one block that holds the draw: O(sqrt(N) log r).
 """
 from __future__ import annotations
 
@@ -163,18 +171,13 @@ class MinimizationReport:
         }
 
 
-def _below(table: ObjectiveTable, d: float) -> np.ndarray:
-    """Sorted indices with f(x) strictly below d, as an np.intp array.
+def threshold_marked_set(table: ObjectiveTable, d: float) -> MarkedSet | None:
+    """Indices with f(x) strictly below d, or None when nothing qualifies.
 
     Strictness means ties at the threshold stay unmarked, so a verified
     search hit always lowers the threshold.
     """
-    return np.flatnonzero(table.values < d)
-
-
-def threshold_marked_set(table: ObjectiveTable, d: float) -> MarkedSet | None:
-    """Indices with f(x) strictly below d, or None when nothing qualifies."""
-    below = _below(table, d)
+    below = np.flatnonzero(table.values < d)
     if below.size == 0:
         return None
     return MarkedSet(tuple(below.tolist()))
@@ -207,7 +210,7 @@ def _cdf(mass, running, count, k, marked_running, s, b, c) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _StartSums:
-    """Prefix sums of one start state v0, built once per run in O(N).
+    """Prefix sums of one start state v0, built in O(N) and shared by every seed.
 
     mass[x] = sum |v0[y]|^2 and running[x] = sum v0[y] over y <= x; grid
     holds every stride-th index up to N - 1, stride about sqrt(N).
@@ -233,25 +236,35 @@ class _StartSums:
 
 
 class _SearchRound:
-    """Born draws after any number of Grover steps, for one sorted marked set.
+    """Born draws after any number of Grover steps; x is marked when values[x] < bound.
 
-    Holds the running sum over the marked amplitudes, RM[k] = sum of v0 at
-    the first k marked indices (O(r) per round), and the step scalars
-    (T, b, c) of every step count used so far.
+    A draw after zero steps needs only the start's prefix sums. The first
+    draw after one or more steps builds the rest, once per round: the sorted
+    marked indices (O(N)) and RM[k] = sum of v0 at the first k of them
+    (O(r)); then, per step count used so far, the scalars (T, b, c) and F
+    on the grid.
     """
 
-    def __init__(self, start: _StartSums, marked: np.ndarray) -> None:
+    def __init__(self, start: _StartSums, values: np.ndarray, bound: float) -> None:
         self.start = start
-        self.marked = marked
-        picked = start.amps[marked]
-        self.marked_running = np.zeros(marked.size + 1, dtype=np.complex128)
+        self.values = values
+        self.bound = bound
+        self.marked: np.ndarray | None = None
+
+    def _build(self) -> None:
+        self.marked = np.flatnonzero(self.values < self.bound)
+        picked = self.start.amps[self.marked]
+        self.marked_running = np.zeros(self.marked.size + 1, dtype=np.complex128)
         np.cumsum(picked, out=self.marked_running[1:])
         self._picked_sum = complex(picked.sum())
-        self._steps = [(start.total, 0j, 0j)]
-        self._grid_parts = self._parts(start.grid)
+        self._steps = [(self.start.total, 0j, 0j)]
+        self._grid_parts = self._parts(self.start.grid)
+        self._coarse: dict[int, np.ndarray] = {}
 
     def _scalars(self, steps: int) -> tuple[float, complex, complex]:
         """(s, b, c): after `steps` steps, marked x holds v0[x] + b, unmarked s v0[x] + c."""
+        if self.marked is None:
+            self._build()
         dim = self.start.amps.shape[0]
         r = self.marked.size
         while len(self._steps) <= steps:
@@ -270,12 +283,22 @@ class _SearchRound:
 
     def cdf(self, xs: np.ndarray, steps: int) -> np.ndarray:
         """F(x), the probability of measuring an index <= x after `steps` steps."""
-        return _cdf(*self._parts(xs), *self._scalars(steps))
+        scalars = self._scalars(steps)
+        return _cdf(*self._parts(xs), *scalars)
 
     def draw(self, steps: int, u: float) -> int:
-        """The first x with F(x) > u F(N - 1): a grid pass, then one block."""
+        """The first x with F(x) > u F(N - 1): a grid pass, then one block.
+
+        After zero steps b = c = 0, so F is the start's mass itself; it never
+        decreases, and one binary search finds x.
+        """
+        mass = self.start.mass
+        if steps == 0:
+            return min(int(mass.searchsorted(u * mass[-1], side="right")), mass.size - 1)
         scalars = self._scalars(steps)
-        coarse = _cdf(*self._grid_parts, *scalars)
+        coarse = self._coarse.get(steps)
+        if coarse is None:
+            coarse = self._coarse[steps] = _cdf(*self._grid_parts, *scalars)
         bound = u * coarse[-1]
         i = _first_above(coarse, bound)
         grid = self.start.grid
@@ -284,9 +307,8 @@ class _SearchRound:
         return lo + _first_above(block, bound)
 
     def is_marked(self, x: int) -> bool:
-        """Whether x is in the marked set, by binary search."""
-        k = int(np.searchsorted(self.marked, x))
-        return k < self.marked.size and int(self.marked[k]) == x
+        """Whether x is marked, without building the marked indices."""
+        return bool(self.values[x] < self.bound)
 
 
 def exponential_search(
@@ -305,7 +327,9 @@ def exponential_search(
     """
     marked.validate_for(initial.dimension)
     start = _StartSums.of(initial.amplitudes)
-    return _search(_SearchRound(start, np.asarray(marked.indices, dtype=np.intp)), schedule, rng)
+    levels = np.ones(initial.dimension)
+    levels[list(marked.indices)] = 0.0
+    return _search(_SearchRound(start, levels, 1.0), schedule, rng)
 
 
 def _search(
@@ -345,45 +369,59 @@ def run_minimization(
     because marking is strict, and an unverified outcome comes back only
     once the budget is spent.
     """
-    rng = np.random.default_rng(seed)
     prep = (
         equal_superposition(table.n)
         if init is None
         else prepare_ansatz_state(table.n, init)
     )
+    return _minimizations(table, prep, schedule, [seed])[0]
+
+
+def _minimizations(
+    table: ObjectiveTable,
+    prep: PureState,
+    schedule: SearchSchedule,
+    seeds,
+) -> list[MinimizationReport]:
+    """run_minimization from prep for each seed in turn; the seeds share its prefix sums."""
     start = _StartSums.of(prep.amplitudes)
-    x = int(rng.integers(table.dimension))
-    d = float(table.values[x])
-    history = [(x, d)]
-    calls = 0
+    values = table.values
+    lowest = values.min()
     budget = schedule.max_oracle_calls
-    while True:
-        marked = _below(table, d)
-        if marked.size == 0:
-            converged, reason = True, "empty_marked_set"
-            break
-        if budget is not None and calls >= budget:
-            converged, reason = False, "budget_exhausted"
-            break
-        round_schedule = replace(
-            schedule,
-            max_oracle_calls=None if budget is None else budget - calls,
-        )
-        outcome = _search(_SearchRound(start, marked), round_schedule, rng)
-        calls += outcome.oracle_calls
-        value = float(table.values[outcome.index])
-        if value < d:
-            x, d = outcome.index, value
-            history.append((x, d))
-    return MinimizationReport(
-        result_index=x,
-        result_value=d,
-        threshold_history=tuple(history),
-        oracle_calls_used=calls,
-        converged=converged,
-        stop_reason=reason,
-        seed=seed,
-    )
+    reports = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        x = int(rng.integers(table.dimension))
+        d = float(values[x])
+        history = [(x, d)]
+        calls = 0
+        while True:
+            if lowest >= d:  # nothing lies below d: the marked set is empty
+                converged, reason = True, "empty_marked_set"
+                break
+            if budget is not None and calls >= budget:
+                converged, reason = False, "budget_exhausted"
+                break
+            round_schedule = replace(
+                schedule,
+                max_oracle_calls=None if budget is None else budget - calls,
+            )
+            outcome = _search(_SearchRound(start, values, d), round_schedule, rng)
+            calls += outcome.oracle_calls
+            value = float(values[outcome.index])
+            if value < d:
+                x, d = outcome.index, value
+                history.append((x, d))
+        reports.append(MinimizationReport(
+            result_index=x,
+            result_value=d,
+            threshold_history=tuple(history),
+            oracle_calls_used=calls,
+            converged=converged,
+            stop_reason=reason,
+            seed=seed,
+        ))
+    return reports
 
 
 def minimization_success_closed_form(dim: int, tau_s: int, fc: float) -> float:

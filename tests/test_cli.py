@@ -170,6 +170,18 @@ def test_minimize_summary_has_aggregate_row(tmp_path):
     assert 0.0 <= rate <= 1.0
 
 
+@pytest.mark.parametrize("start", [["--uniform"], ["--alpha", "0.3", "--beta", "1.1", "--theta", "0.6"]],
+                         ids=["uniform", "ansatz"])
+def test_minimize_seeds_share_a_start_but_no_state(tmp_path, start):
+    def reports(seeds: str) -> list:
+        out = tmp_path / f"mini_{seeds}"
+        assert main(["minimize", "--generator", "uniform", "--objective-n", "7", "--seeds", seeds,
+                     *start, "--out", str(out)]) == 0
+        return json.loads(out.with_name(out.name + ".json").read_text())["reports"]
+
+    assert reports("1,2,3") == reports("1") + reports("2") + reports("3")
+
+
 def test_minimize_reads_objective_files(tmp_path):
     obj = tmp_path / "obj.csv"
     obj.write_text("index,value\n0,4\n1,9\n2,-2\n3,6\n")

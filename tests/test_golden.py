@@ -107,6 +107,22 @@ def test_run_prints_the_bytes_it_would_write(capsys, case):
     assert capsys.readouterr().out.encode() == (GOLDEN / case / name).read_bytes()
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_output_files_get_the_mode_the_umask_leaves(tmp_path, monkeypatch, umask):
+    # one case per command; a file made by open() would get 0666 & ~umask
+    monkeypatch.chdir(INPUTS)
+    cases = {CASES[case][0][0]: case for case in reversed(list(CASES))}
+    old = os.umask(umask)
+    try:
+        for command, case in cases.items():
+            out = tmp_path / case
+            for name in _run_case(case, out):
+                assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask, f"{command}: {name}"
+    finally:
+        os.umask(old)
+    assert set(cases) == {command for command, _ in _output_forms()}
+
+
 def _output_forms():
     """(command, --format value) for every output the CLI writes; None where it has no --format."""
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

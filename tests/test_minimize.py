@@ -7,10 +7,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from groversim import (
     LocalGateParams,
     MarkedSet,
+    MinimizationReport,
     ObjectiveTable,
     PureState,
     SearchSchedule,
@@ -24,8 +27,8 @@ from groversim import (
     sample_measurement,
     threshold_marked_set,
 )
-from groversim import kernels
-from groversim.minimize import SearchOutcome, _search, _SearchRound, _StartSums
+from groversim import kernels, minimize
+from groversim.minimize import SearchOutcome, _minimizations, _search, _SearchRound, _StartSums
 from test_kernels import _dense_runs, _edge_states
 
 NEAR_UNIFORM = LocalGateParams(0.3, 0.35, 0.78)
@@ -147,7 +150,10 @@ def test_sampling_is_deterministic_per_seed():
 # ------------------------------------------------- sampling without a vector
 
 def _round(amps, marked):
-    return _SearchRound(_StartSums.of(np.asarray(amps)), np.asarray(marked, dtype=np.intp))
+    amps = np.asarray(amps)
+    levels = np.ones(amps.shape[0])
+    levels[list(marked)] = 0.0
+    return _SearchRound(_StartSums.of(amps), levels, 1.0)
 
 
 def _sampler_cells(rng):
@@ -232,6 +238,193 @@ def test_public_search_internal_round_and_dense_search_agree(rng):
                         internal = _search(_round(amps, marked.indices), schedule, np.random.default_rng(seed))
                         dense = _dense_search(initial, marked, schedule, np.random.default_rng(seed))
                         assert public == internal == dense, f"{kind} n={n} {marked} {schedule} seed={seed}"
+
+
+# ------------------------------------- the eager round, kept as a reference
+
+class _EagerRound:
+    """The sampler as first written: built whole up front, grid and block on every draw."""
+
+    def __init__(self, start: _StartSums, marked: np.ndarray) -> None:
+        self.start = start
+        self.marked = marked
+        picked = start.amps[marked]
+        self.marked_running = np.zeros(marked.size + 1, dtype=np.complex128)
+        np.cumsum(picked, out=self.marked_running[1:])
+        self._picked_sum = complex(picked.sum())
+        self._steps = [(start.total, 0j, 0j)]
+        self._grid_parts = self._parts(start.grid)
+
+    def _scalars(self, steps: int) -> tuple[float, complex, complex]:
+        dim = self.start.amps.shape[0]
+        r = self.marked.size
+        while len(self._steps) <= steps:
+            total, b, c = self._steps[-1]
+            total -= 2.0 * (self._picked_sum + r * b)
+            b += (2.0 / dim) * total
+            c = (2.0 / dim) * total - c
+            self._steps.append((total, b, c))
+        _, b, c = self._steps[steps]
+        return (-1.0 if steps % 2 else 1.0), b, c
+
+    def _parts(self, xs: np.ndarray) -> tuple:
+        k = np.searchsorted(self.marked, xs, side="right")
+        return self.start.mass[xs], self.start.running[xs], xs + 1, k, self.marked_running[k]
+
+    def draw(self, steps: int, u: float) -> int:
+        scalars = self._scalars(steps)
+        coarse = minimize._cdf(*self._grid_parts, *scalars)
+        bound = u * coarse[-1]
+        i = minimize._first_above(coarse, bound)
+        grid = self.start.grid
+        lo = int(grid[i - 1]) + 1 if i else 0
+        block = minimize._cdf(*self._parts(np.arange(lo, grid[i] + 1)), *scalars)
+        return lo + minimize._first_above(block, bound)
+
+    def is_marked(self, x: int) -> bool:
+        k = int(np.searchsorted(self.marked, x))
+        return k < self.marked.size and int(self.marked[k]) == x
+
+
+def _eager_search(rnd, schedule, rng):
+    reach_cap = math.sqrt(rnd.start.amps.shape[0])
+    reach = min(schedule.initial_reach, reach_cap)
+    budget = schedule.max_oracle_calls
+    calls = 0
+    while True:
+        j = int(rng.integers(0, math.ceil(reach)))
+        if budget is not None and calls + j > budget:
+            j = budget - calls
+        calls += j
+        x = rnd.draw(j, rng.random())
+        if rnd.is_marked(x):
+            return SearchOutcome(index=x, oracle_calls=calls, verified=True)
+        if budget is not None and calls >= budget:
+            return SearchOutcome(index=x, oracle_calls=calls, verified=False)
+        reach = min(reach * schedule.growth, reach_cap)
+
+
+def _eager_minimization(table, prep, schedule, seed):
+    """Threshold descent that rebuilds the start's prefix sums for every seed."""
+    rng = np.random.default_rng(seed)
+    start = _StartSums.of(prep.amplitudes)
+    x = int(rng.integers(table.dimension))
+    d = float(table.values[x])
+    history = [(x, d)]
+    calls = 0
+    budget = schedule.max_oracle_calls
+    while True:
+        marked = np.flatnonzero(table.values < d)
+        if marked.size == 0:
+            converged, reason = True, "empty_marked_set"
+            break
+        if budget is not None and calls >= budget:
+            converged, reason = False, "budget_exhausted"
+            break
+        round_schedule = dataclasses.replace(
+            schedule,
+            max_oracle_calls=None if budget is None else budget - calls,
+        )
+        outcome = _eager_search(_EagerRound(start, marked), round_schedule, rng)
+        calls += outcome.oracle_calls
+        value = float(table.values[outcome.index])
+        if value < d:
+            x, d = outcome.index, value
+            history.append((x, d))
+    return MinimizationReport(
+        result_index=x,
+        result_value=d,
+        threshold_history=tuple(history),
+        oracle_calls_used=calls,
+        converged=converged,
+        stop_reason=reason,
+        seed=seed,
+    )
+
+
+def _identity_tables(n, kind, rng):
+    """A table of five levels with many ties; from a coherent start, also one of distinct values.
+
+    Basis and random starts have f_c near 1/N, so a round there takes about
+    N attempts; on five levels a run has at most four rounds.
+    """
+    tables = {"five levels": ObjectiveTable(n, rng.integers(0, 5, size=2**n).astype(np.float64))}
+    if kind in ("uniform", "ansatz"):
+        tables["permutation"] = make_objective("permutation", n, n)
+    return tables
+
+
+def test_minimization_is_bit_identical_to_the_eager_round(rng):
+    schedules = (SearchSchedule(), SearchSchedule(growth=4 / 3, initial_reach=2.5),
+                 SearchSchedule(max_oracle_calls=3))
+    seeds = range(20)
+    for n in range(3, 11):
+        for kind, amps in _edge_states(n, rng).items():
+            prep = PureState(n, amps)
+            tables = _identity_tables(n, kind, rng)
+            for (label, table), schedule in itertools.product(tables.items(), schedules):
+                want = [_eager_minimization(table, prep, schedule, seed) for seed in seeds]
+                assert _minimizations(table, prep, schedule, seeds) == want, (
+                    f"{kind} start, n={n}, {label} table, {schedule}"
+                )
+            if kind in ("uniform", "ansatz"):
+                # run_minimization builds the same start from its init
+                init = None if kind == "uniform" else LocalGateParams(0.3, 1.1, 0.6)
+                table = tables["permutation"]
+                want = _eager_minimization(table, prep, SearchSchedule(), n)
+                assert run_minimization(table, init, seed=n) == want, f"{kind} start, n={n}"
+
+
+# ------------------------------------------------------- draws after no steps
+
+@st.composite
+def _zero_padded_starts(draw):
+    """Amplitudes at N = 2**n, n in 1..6, with runs of zero mass at the front and the back."""
+    dim = 2 ** draw(st.integers(1, 6))
+    head = draw(st.integers(0, dim - 1))
+    tail = draw(st.integers(0, dim - 1 - head))
+    size = dim - head - tail
+    body = draw(st.lists(st.complex_numbers(max_magnitude=4.0), min_size=size, max_size=size))
+    return np.array([0j] * head + body + [0j] * tail)
+
+
+_LAST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+@given(
+    amps=_zero_padded_starts(),
+    u=st.one_of(st.sampled_from([0.0, _LAST_BELOW_ONE]), st.floats(0.0, 1.0, exclude_max=True)),
+)
+@example(amps=np.array([0j, 0j, 1.0, 0j]), u=0.0)
+@example(amps=np.array([0j, 0j, 1.0, 0j]), u=_LAST_BELOW_ONE)
+@example(amps=np.array([0j, 0.6, 0.8j, 0j]), u=0.36)
+def test_a_draw_after_no_steps_is_the_first_index_past_u_of_the_mass(amps, u):
+    start = _StartSums.of(amps)
+    mass = start.mass
+    want = next((x for x in range(mass.size) if mass[x] > u * mass[-1]), mass.size - 1)
+    levels = np.ones(mass.size)
+    levels[0] = 0.0
+    rnd = _SearchRound(start, levels, 1.0)
+    assert rnd.draw(0, u) == want
+    # the grid-then-block pass of the eager round picks the same index
+    assert _EagerRound(start, np.array([0])).draw(0, u) == want
+    assert rnd.marked is None
+
+
+def test_rounds_whose_attempts_take_no_steps_build_no_marked_sums(monkeypatch):
+    def refuse(self):
+        raise AssertionError("built the marked prefix sums")
+
+    monkeypatch.setattr(_SearchRound, "_build", refuse)
+    # a basis start on a marked index: the first attempt takes 0 steps and hits
+    out = exponential_search(basis_state(3, 5), MarkedSet((1, 5)), SearchSchedule(), np.random.default_rng(0))
+    assert out == SearchOutcome(index=5, oracle_calls=0, verified=True)
+    # a basis start on the minimum: each round's first draw lands on it
+    table = make_objective("permutation", 6, 4)
+    (lowest,) = table.argmin_set()
+    for rep in _minimizations(table, basis_state(6, lowest), SearchSchedule(), range(20)):
+        assert rep.result_index == lowest and rep.oracle_calls_used == 0
+        assert rep.converged
 
 
 # --------------------------------------------------------- exponential search
