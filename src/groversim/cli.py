@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -63,20 +62,18 @@ def _fmt(value) -> str:
 
 
 def _atomic_write(path: Path, chunks) -> None:
-    """Write the text chunks to a temp file beside path, then rename it to path.
+    """Write the text chunks to a new dot-file beside path, then rename it to path.
 
-    mkstemp makes the temp file 0600; it gets the mode open() would give a
-    new file, 0666 less the umask, before it takes path's place.
+    The file is created with mode 0666 and the kernel takes the umask off,
+    so it gets the mode open() would give path itself.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -240,16 +237,17 @@ def _random_state(n: int, rng: np.random.Generator) -> PureState:
     return PureState(n, amps)
 
 
-def _ansatz_params(args) -> LocalGateParams | None:
-    """Ansatz parameters from --alpha/--beta/--theta, or None for the uniform state."""
+def _start_state(args, n: int) -> tuple[PureState, dict]:
+    """The ansatz state of --alpha/--beta/--theta, else the uniform one; with its metadata."""
     angles = (args.alpha, args.beta, args.theta)
     if all(a is None for a in angles):
-        return None
+        return equal_superposition(n), {"initial": "uniform"}
     if args.uniform:
         raise ValueError("--uniform cannot be combined with --alpha/--beta/--theta")
     if any(a is None for a in angles):
         raise ValueError("--alpha, --beta, --theta must be given together")
-    return LocalGateParams(*angles)
+    params = LocalGateParams(*angles)
+    return prepare_ansatz_state(n, params), {"initial": "ansatz", **asdict(params)}
 
 
 def cmd_verify_average(args) -> int:
@@ -366,11 +364,7 @@ def cmd_run(args) -> int:
         marked.validate_for(2**args.n)
     except ValueError as exc:
         raise ValueError(f"--marked {exc}") from None
-    params = _ansatz_params(args)
-    if params is None:
-        state, state_meta = equal_superposition(args.n), {"initial": "uniform"}
-    else:
-        state, state_meta = prepare_ansatz_state(args.n, params), {"initial": "ansatz", **asdict(params)}
+    state, state_meta = _start_state(args, args.n)
 
     report = run_search(state, marked, args.tau)
     payload = {
@@ -406,12 +400,7 @@ def cmd_minimize(args) -> int:
         initial_reach=args.initial_reach,
         max_oracle_calls=args.budget,
     )
-    init_params = _ansatz_params(args)
-    prep = (
-        equal_superposition(table.n)
-        if init_params is None
-        else prepare_ansatz_state(table.n, init_params)
-    )
+    prep, state_meta = _start_state(args, table.n)
 
     reports = _minimizations(table, prep, schedule, args.seeds)
     true_min = float(table.values.min())
@@ -424,7 +413,7 @@ def cmd_minimize(args) -> int:
             **objective_meta,
             "n": table.n, "seeds": args.seeds, "growth": schedule.growth,
             "initial_reach": schedule.initial_reach, "budget": schedule.max_oracle_calls,
-            "initial": "uniform" if init_params is None else "ansatz",
+            "initial": state_meta["initial"],
         },
     )
     payload = {

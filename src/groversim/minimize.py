@@ -29,16 +29,18 @@ An attempt pays only for the steps it takes:
   call, and once for all the seeds of a CLI minimize invocation.
 - A zero-step attempt has b = c = 0, so F is P itself: one binary
   search, O(log N).
-- A round's setup (its marked indices, O(N), and RM, O(r)) happens only
-  once an attempt takes a step. Such an attempt evaluates F on a grid of
-  every sqrt(N)-th index, kept per step count for the rest of the round,
-  then on the one block that holds the draw: O(sqrt(N) log r).
+- A run finds its marked indices by one O(N) scan; each time the
+  threshold drops, it narrows them in O(r) for the r of the round before.
+- A round builds RM, O(r), only once an attempt takes a step. Such an
+  attempt evaluates F on a grid of every sqrt(N)-th index, kept per step
+  count for the rest of the round, then on the one block that holds the
+  draw: O(sqrt(N) log r).
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +48,7 @@ import numpy as np
 from .analytics import closed_form_average
 from .ansatz import LocalGateParams, prepare_ansatz_state
 from .search import MarkedSet
-from .states import PureState, check_qubit_count, equal_superposition
+from .states import PureState, check_integer, check_qubit_count, equal_superposition
 
 GENERATOR_KINDS = ("permutation", "uniform", "constant")
 
@@ -80,8 +82,10 @@ class ObjectiveTable:
     @classmethod
     def from_values(cls, values) -> "ObjectiveTable":
         vals = np.asarray(values, dtype=np.float64)
-        n = int(vals.shape[0]).bit_length() - 1
-        if vals.ndim != 1 or vals.shape[0] != 2**n:
+        if vals.ndim != 1:
+            raise ValueError(f"objective values must form a 1-d sequence, got shape {vals.shape}")
+        n = vals.shape[0].bit_length() - 1
+        if vals.shape[0] != 2**n:
             raise ValueError(f"value count {vals.shape} is not a power of two")
         return cls(n, vals)
 
@@ -134,8 +138,9 @@ class SearchSchedule:
             raise ValueError(f"growth factor must lie in (1, 4/3], got {self.growth!r}")
         if not 1.0 <= self.initial_reach < math.inf:
             raise ValueError(f"initial reach must be finite and >= 1, got {self.initial_reach!r}")
-        if self.max_oracle_calls is not None and self.max_oracle_calls <= 0:
-            raise ValueError(f"oracle budget must be positive, got {self.max_oracle_calls!r}")
+        budget = self.max_oracle_calls
+        if budget is not None and check_integer(budget, "oracle budget") <= 0:
+            raise ValueError(f"oracle budget must be positive, got {budget!r}")
 
 
 @dataclass(frozen=True)
@@ -236,23 +241,20 @@ class _StartSums:
 
 
 class _SearchRound:
-    """Born draws after any number of Grover steps; x is marked when values[x] < bound.
+    """Born draws after any number of Grover steps; `marked` holds the marked indices, sorted.
 
     A draw after zero steps needs only the start's prefix sums. The first
-    draw after one or more steps builds the rest, once per round: the sorted
-    marked indices (O(N)) and RM[k] = sum of v0 at the first k of them
-    (O(r)); then, per step count used so far, the scalars (T, b, c) and F
-    on the grid.
+    draw after one or more steps builds the rest, once per round: RM[k] =
+    sum of v0 at the first k marked indices (O(r)); then, per step count
+    used so far, the scalars (T, b, c) and F on the grid.
     """
 
-    def __init__(self, start: _StartSums, values: np.ndarray, bound: float) -> None:
+    def __init__(self, start: _StartSums, marked: np.ndarray) -> None:
         self.start = start
-        self.values = values
-        self.bound = bound
-        self.marked: np.ndarray | None = None
+        self.marked = marked
+        self._steps: list | None = None
 
     def _build(self) -> None:
-        self.marked = np.flatnonzero(self.values < self.bound)
         picked = self.start.amps[self.marked]
         self.marked_running = np.zeros(self.marked.size + 1, dtype=np.complex128)
         np.cumsum(picked, out=self.marked_running[1:])
@@ -263,7 +265,7 @@ class _SearchRound:
 
     def _scalars(self, steps: int) -> tuple[float, complex, complex]:
         """(s, b, c): after `steps` steps, marked x holds v0[x] + b, unmarked s v0[x] + c."""
-        if self.marked is None:
+        if self._steps is None:
             self._build()
         dim = self.start.amps.shape[0]
         r = self.marked.size
@@ -307,8 +309,9 @@ class _SearchRound:
         return lo + _first_above(block, bound)
 
     def is_marked(self, x: int) -> bool:
-        """Whether x is marked, without building the marked indices."""
-        return bool(self.values[x] < self.bound)
+        """Whether x is marked: a binary search of the marked indices."""
+        k = int(self.marked.searchsorted(x))
+        return k < self.marked.size and int(self.marked[k]) == x
 
 
 def exponential_search(
@@ -326,19 +329,16 @@ def exponential_search(
     at that point comes back unverified.
     """
     marked.validate_for(initial.dimension)
-    start = _StartSums.of(initial.amplitudes)
-    levels = np.ones(initial.dimension)
-    levels[list(marked.indices)] = 0.0
-    return _search(_SearchRound(start, levels, 1.0), schedule, rng)
+    rnd = _SearchRound(_StartSums.of(initial.amplitudes), np.array(marked.indices, dtype=np.intp))
+    return _search(rnd, schedule, rng, schedule.max_oracle_calls)
 
 
 def _search(
-    rnd: _SearchRound, schedule: SearchSchedule, rng: np.random.Generator
+    rnd: _SearchRound, schedule: SearchSchedule, rng: np.random.Generator, budget: int | None
 ) -> SearchOutcome:
-    """exponential_search on a prepared round; one rng.integers and one rng.random per attempt."""
+    """exponential_search on a round with `budget` calls left; one rng.integers and rng.random per attempt."""
     reach_cap = math.sqrt(rnd.start.amps.shape[0])
     reach = min(schedule.initial_reach, reach_cap)
-    budget = schedule.max_oracle_calls
     calls = 0
     while True:
         j = int(rng.integers(0, math.ceil(reach)))
@@ -386,7 +386,6 @@ def _minimizations(
     """run_minimization from prep for each seed in turn; the seeds share its prefix sums."""
     start = _StartSums.of(prep.amplitudes)
     values = table.values
-    lowest = values.min()
     budget = schedule.max_oracle_calls
     reports = []
     for seed in seeds:
@@ -394,24 +393,23 @@ def _minimizations(
         x = int(rng.integers(table.dimension))
         d = float(values[x])
         history = [(x, d)]
+        marked = np.flatnonzero(values < d)
         calls = 0
         while True:
-            if lowest >= d:  # nothing lies below d: the marked set is empty
+            if marked.size == 0:  # nothing lies below d
                 converged, reason = True, "empty_marked_set"
                 break
             if budget is not None and calls >= budget:
                 converged, reason = False, "budget_exhausted"
                 break
-            round_schedule = replace(
-                schedule,
-                max_oracle_calls=None if budget is None else budget - calls,
-            )
-            outcome = _search(_SearchRound(start, values, d), round_schedule, rng)
+            left = None if budget is None else budget - calls
+            outcome = _search(_SearchRound(start, marked), schedule, rng, left)
             calls += outcome.oracle_calls
             value = float(values[outcome.index])
             if value < d:
                 x, d = outcome.index, value
                 history.append((x, d))
+                marked = marked[values[marked] < d]  # still sorted
         reports.append(MinimizationReport(
             result_index=x,
             result_value=d,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .analytics import check_step_count, mixing_angle
-from .states import PureState, check_qubit_count
+from .states import PureState, check_integer, check_qubit_count
 
 ENUMERATION_CAP = 10_000_000
 DEGENERATE_ATOL = 1e-14
@@ -36,7 +36,7 @@ class MarkedSet:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(sorted(map(int, self.indices)))
+        idx = tuple(sorted(check_integer(i, "marked index") for i in self.indices))
         if not idx:
             raise ValueError("marked set must be non-empty")
         if idx[0] < 0:

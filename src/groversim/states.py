@@ -8,6 +8,7 @@ every operation returns a new object; nothing mutates in place.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,6 +16,14 @@ import numpy as np
 
 MAX_QUBITS = 20
 NORM_ATOL = 1e-10
+
+
+def check_integer(value, what: str) -> int:
+    """Return value as an int if it is an integer, numpy's included; raise ValueError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_qubit_count(n) -> int:
@@ -110,6 +119,7 @@ class StateMixture:
 def basis_state(n: int, index: int = 0) -> PureState:
     """The computational basis state |index> on n qubits."""
     check_qubit_count(n)
+    index = check_integer(index, "basis index")
     if not 0 <= index < 2**n:
         raise ValueError(f"basis index {index} out of range for n={n}")
     amps = np.zeros(2**n, dtype=np.complex128)

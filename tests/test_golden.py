@@ -123,6 +123,17 @@ def test_output_files_get_the_mode_the_umask_leaves(tmp_path, monkeypatch, umask
     assert set(cases) == {command for command, _ in _output_forms()}
 
 
+def test_writing_an_output_file_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # setting the umask, even for a moment, changes it for every thread of the process
+    def refuse(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.chdir(INPUTS)
+    monkeypatch.setattr(os, "umask", refuse)
+    files = _run_case("optimal-curves", tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
 def _output_forms():
     """(command, --format value) for every output the CLI writes; None where it has no --format."""
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

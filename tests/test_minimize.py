@@ -49,6 +49,8 @@ def test_table_rejects_non_power_of_two():
 def test_table_rejects_a_wrong_shape():
     with pytest.raises(ValueError, match=r"expected 4 values for n=2, got shape \(3,\)"):
         ObjectiveTable(2, np.zeros(3))
+    with pytest.raises(ValueError, match=r"1-d sequence, got shape \(\)"):
+        ObjectiveTable.from_values(5.0)
 
 
 def test_table_rejects_non_finite_values():
@@ -150,10 +152,7 @@ def test_sampling_is_deterministic_per_seed():
 # ------------------------------------------------- sampling without a vector
 
 def _round(amps, marked):
-    amps = np.asarray(amps)
-    levels = np.ones(amps.shape[0])
-    levels[list(marked)] = 0.0
-    return _SearchRound(_StartSums.of(amps), levels, 1.0)
+    return _SearchRound(_StartSums.of(np.asarray(amps)), np.array(marked, dtype=np.intp))
 
 
 def _sampler_cells(rng):
@@ -235,7 +234,8 @@ def test_public_search_internal_round_and_dense_search_agree(rng):
                 for schedule in schedules:
                     for seed in range(8):
                         public = exponential_search(initial, marked, schedule, np.random.default_rng(seed))
-                        internal = _search(_round(amps, marked.indices), schedule, np.random.default_rng(seed))
+                        internal = _search(_round(amps, marked.indices), schedule, np.random.default_rng(seed),
+                                           schedule.max_oracle_calls)
                         dense = _dense_search(initial, marked, schedule, np.random.default_rng(seed))
                         assert public == internal == dense, f"{kind} n={n} {marked} {schedule} seed={seed}"
 
@@ -375,6 +375,32 @@ def test_minimization_is_bit_identical_to_the_eager_round(rng):
                 assert run_minimization(table, init, seed=n) == want, f"{kind} start, n={n}"
 
 
+def test_each_round_gets_the_sorted_indices_below_its_threshold(rng, monkeypatch):
+    received = []
+
+    class Recording(_SearchRound):
+        def __init__(self, start, marked):
+            received.append(marked.copy())
+            # each round lowers the threshold, so a run has fewer rounds than entries
+            assert len(received) < start.amps.size, "the threshold stopped dropping"
+            super().__init__(start, marked)
+
+    monkeypatch.setattr(minimize, "_SearchRound", Recording)
+    for n in range(3, 9):
+        for kind, amps in _edge_states(n, rng).items():
+            prep = PureState(n, amps)
+            for label, table in _identity_tables(n, kind, rng).items():
+                for seed in range(5):
+                    received.clear()
+                    (rep,) = _minimizations(table, prep, SearchSchedule(), [seed])
+                    want = [np.flatnonzero(table.values < d) for _, d in rep.threshold_history[:-1]]
+                    where = f"{kind} start, n={n}, {label} table, seed={seed}"
+                    assert len(received) == len(want), where
+                    for got, expected in zip(received, want):
+                        assert got.dtype == np.intp, where
+                        np.testing.assert_array_equal(got, expected, err_msg=where)
+
+
 # ------------------------------------------------------- draws after no steps
 
 @st.composite
@@ -402,13 +428,11 @@ def test_a_draw_after_no_steps_is_the_first_index_past_u_of_the_mass(amps, u):
     start = _StartSums.of(amps)
     mass = start.mass
     want = next((x for x in range(mass.size) if mass[x] > u * mass[-1]), mass.size - 1)
-    levels = np.ones(mass.size)
-    levels[0] = 0.0
-    rnd = _SearchRound(start, levels, 1.0)
+    rnd = _SearchRound(start, np.array([0]))
     assert rnd.draw(0, u) == want
     # the grid-then-block pass of the eager round picks the same index
     assert _EagerRound(start, np.array([0])).draw(0, u) == want
-    assert rnd.marked is None
+    assert rnd._steps is None  # nothing was built
 
 
 def test_rounds_whose_attempts_take_no_steps_build_no_marked_sums(monkeypatch):
@@ -473,6 +497,10 @@ def test_schedule_validation():
             SearchSchedule(initial_reach=reach)
     with pytest.raises(ValueError, match="budget"):
         SearchSchedule(max_oracle_calls=0)
+    with pytest.raises(ValueError, match="oracle budget must be an integer, got 2.5"):
+        SearchSchedule(max_oracle_calls=2.5)
+    schedule = SearchSchedule(max_oracle_calls=np.int64(2))
+    assert run_minimization(make_objective("permutation", 3, 0), schedule=schedule).oracle_calls_used <= 2
 
 
 # ---------------------------------------------------------- threshold descent

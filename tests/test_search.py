@@ -44,6 +44,11 @@ def test_marked_set_rejects_bad_input():
         MarkedSet((1, 1))
     with pytest.raises(ValueError, match="non-negative"):
         MarkedSet((-1,))
+    with pytest.raises(ValueError, match="marked index must be an integer, got 1.5"):
+        MarkedSet((1.5, 2.9))
+    with pytest.raises(ValueError, match="marked index must be an integer, got '3'"):
+        MarkedSet(("3",))
+    assert MarkedSet((np.int64(3), np.int32(1))).indices == (1, 3)
 
 
 def test_marked_set_range_check():

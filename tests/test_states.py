@@ -30,6 +30,9 @@ def test_basis_state_puts_unit_mass_on_one_index():
     assert np.count_nonzero(s.amplitudes) == 1
     with pytest.raises(ValueError, match="basis index 4 out of range for n=2"):
         basis_state(2, 4)
+    with pytest.raises(ValueError, match="basis index must be an integer, got 2.0"):
+        basis_state(3, 2.0)
+    assert basis_state(3, np.int64(5)).amplitudes[5] == 1.0
 
 
 def test_equal_superposition_is_uniform():
