@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .states import PureState, StateMixture
+from .states import PureState, StateMixture, check_integer
 
 SMALL_DENSITY_CAP = 64
 _HERMITIAN_ATOL = 1e-10
@@ -84,15 +84,16 @@ class MeasureCounterexampleReport:
 
 
 def _check_geometry(dim: int, r: int) -> None:
-    if not isinstance(dim, int) or dim < 2:
+    if check_integer(dim, "dimension") < 2:
         raise ValueError(f"dimension must be an int >= 2, got {dim!r}")
-    if not isinstance(r, int) or not 1 <= r <= dim:
+    if not 1 <= check_integer(r, "marked count") <= dim:
         raise ValueError(f"marked count must be an int in [1, {dim}], got {r!r}")
 
 
 def check_step_count(tau) -> int:
-    """Return tau if it is an int >= 0; raise ValueError otherwise."""
-    if not isinstance(tau, int) or tau < 0:
+    """Return tau as an int if it is an integer >= 0; raise ValueError otherwise."""
+    tau = check_integer(tau, "step count")
+    if tau < 0:
         raise ValueError(f"step count must be a non-negative int, got {tau!r}")
     return tau
 

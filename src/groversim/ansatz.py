@@ -17,6 +17,7 @@ import numpy as np
 from .states import PureState, SingleQubitGate, check_qubit_count
 
 _TWO_PI = 2.0 * math.pi
+_PLANE_BLOCK_CELLS = 2**14  # cells per row block of the phase plane: 128 KiB per workspace array
 
 
 def _check_phase(name: str, value: float) -> None:
@@ -73,19 +74,17 @@ def prepare_ansatz_state(n: int, p: LocalGateParams) -> PureState:
     with z_j the number of zero bits in j; the circuit route through
     apply_product_unitary reproduces this to round-off.
     """
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     zero_amp, one_amp = _qubit(p)
     zero_pows = np.array([zero_amp**k for k in range(n + 1)], dtype=np.complex128)
     one_pows = np.array([one_amp**k for k in range(n + 1)], dtype=np.complex128)
-    labels = np.arange(2**n, dtype=np.uint32)
-    ones = np.bitwise_count(labels).astype(np.intp)
-    amps = zero_pows[n - ones] * one_pows[ones]
-    return PureState(n, amps)
+    by_weight = zero_pows[::-1] * one_pows  # the amplitude of a label with k one bits
+    return PureState(n, by_weight[np.bitwise_count(np.arange(2**n, dtype=np.uint32))])
 
 
 def ansatz_coherence_fraction(n: int, p: LocalGateParams) -> float:
     """f_c of the ansatz state: |(e^{ia} cos t + e^{ib} sin t)^n|^2 / 2^n."""
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     return abs(sum(_qubit(p)) ** n) ** 2 / 2**n
 
 
@@ -100,25 +99,95 @@ def optimal_success_vs_phases(n: int, alpha: float, beta: float) -> float:
     Equals |(e^{ia} + e^{ib})^n|^2 / 4^n; reaches 1 exactly when the
     phases agree mod 2pi and 0 when they differ by pi.
     """
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     _check_phase("alpha", alpha)
     _check_phase("beta", beta)
     return _phase_success(n, cmath.exp(1j * alpha), cmath.exp(1j * beta))
 
 
-def optimal_success_phase_plane(n: int, phases) -> list[list[float]]:
-    """optimal_success_vs_phases(n, a, b) for every a, b in phases, one row per a.
+def _c_powu(pr, pi, n: int, rr, ri, t, u):
+    """(pr + i pi) ** n elementwise, bit for bit as CPython's complex ** int.
 
-    Each phase is checked and exponentiated once, so a k-point axis costs k
-    calls to cmath.exp rather than 2k^2; every value equals the pointwise one
-    bit for bit.
+    That is c_powu: walk the bits of n from the low end, multiplying the
+    result by the running square p at each set bit. Each product is
+    (ar br - ai bi, ar bi + ai br) in float64 ufuncs, in that order; numpy's
+    complex power rounds differently. All six arrays are overwritten; the
+    result is returned as (real, imag), two of them.
     """
-    check_qubit_count(n)
+    started = False
+    while True:
+        if n & 1:
+            if started:
+                np.multiply(rr, pr, out=t)
+                np.multiply(ri, pi, out=u)
+                np.subtract(t, u, out=t)
+                np.multiply(rr, pi, out=u)
+                np.multiply(ri, pr, out=ri)
+                np.add(u, ri, out=ri)
+                rr, t = t, rr
+            else:
+                # 1 * p is p up to the sign of a zero, which no later |.| sees
+                np.copyto(rr, pr)
+                np.copyto(ri, pi)
+                started = True
+        n >>= 1
+        if not n:
+            return rr, ri
+        np.multiply(pr, pr, out=t)
+        np.multiply(pi, pi, out=u)
+        np.subtract(t, u, out=t)
+        np.multiply(pr, pi, out=u)
+        np.add(u, u, out=pi)  # pr pi + pi pr
+        pr, t = t, pr
+
+
+def _phase_plane_blocks(n: int, phases):
+    """The phase plane of optimal_success_phase_plane, by blocks of rows.
+
+    Yields (fresh, codes) per block. codes is an int array with one row per
+    plane row, and cell (a, b) is the codes[a, b]-th of all the values
+    yielded so far; fresh lists the values that first appear in this block,
+    in code order. So every distinct success is yielded, and can be
+    formatted, once per plane. The workspace is six float64 arrays of at
+    most _PLANE_BLOCK_CELLS cells.
+    """
+    n = check_qubit_count(n)
     phases = [float(value) for value in phases]
     for i, value in enumerate(phases):
         _check_phase(f"#{i}", value)
     exps = [cmath.exp(1j * value) for value in phases]
-    return [[_phase_success(n, ea, eb) for eb in exps] for ea in exps]
+    re = np.array([e.real for e in exps])
+    im = np.array([e.imag for e in exps])
+    k = len(exps)
+    rows = max(1, _PLANE_BLOCK_CELLS // max(k, 1))
+    workspace = [np.empty((min(rows, k), k)) for _ in range(6)]
+    quarter_n = 4**n
+    known = {}  # |(ea + eb)^n| -> its code
+    for start in range(0, k, rows):
+        pr, pi, rr, ri, t, u = (a[: min(rows, k - start)] for a in workspace)
+        np.add(re[start : start + rows, None], re, out=pr)
+        np.add(im[start : start + rows, None], im, out=pi)
+        real, imag = _c_powu(pr, pi, n, rr, ri, t, u)
+        h = np.hypot(real, imag, out=pr)  # abs(complex) is hypot
+        distinct, inverse = np.unique(h.ravel(), return_inverse=True)
+        seen, distinct = len(known), distinct.tolist()
+        codes = [known.setdefault(x, len(known)) for x in distinct]
+        fresh = [x**2 / quarter_n for x, code in zip(distinct, codes) if code >= seen]
+        yield fresh, np.array(codes)[inverse].reshape(h.shape)
+
+
+def optimal_success_phase_plane(n: int, phases) -> list[list[float]]:
+    """optimal_success_vs_phases(n, a, b) for every a, b in phases, one row per a.
+
+    Each phase is checked and exponentiated once, and the powers are taken
+    in one array pass by blocks of rows (_phase_plane_blocks); every value
+    equals the pointwise one bit for bit.
+    """
+    values, plane = [], []
+    for fresh, codes in _phase_plane_blocks(n, phases):
+        values += fresh
+        plane += ([values[c] for c in line] for line in codes.tolist())
+    return plane
 
 
 def optimal_success_vs_mixing(n: int, theta: float) -> float:
@@ -127,6 +196,6 @@ def optimal_success_vs_mixing(n: int, theta: float) -> float:
     Equals (cos t + sin t)^{2n} / 2^n; maximized at theta = pi/4 where it
     is exactly 1, and 2^{-n} at both endpoints of [0, pi/2].
     """
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     _check_mixing_angle(theta)
     return (math.cos(theta) + math.sin(theta)) ** (2 * n) / 2**n

@@ -24,7 +24,7 @@ from . import __version__
 from .analytics import closed_form_average, coherence_fraction, optimal_average
 from .ansatz import (
     LocalGateParams,
-    optimal_success_phase_plane,
+    _phase_plane_blocks,
     optimal_success_vs_mixing,
     prepare_ansatz_state,
 )
@@ -47,6 +47,7 @@ from .states import PureState, basis_state, check_qubit_count, equal_superpositi
 
 DEVIATION_THRESHOLD = 1e-10
 _FLOAT = ".17g"  # the format of every float written to a CSV file
+_CHUNK_ROWS = 4096  # curve-table rows joined into one string before it is written
 
 
 def _fmt(value) -> str:
@@ -107,25 +108,35 @@ def _write_table(path: Path, fmt: str, meta: dict, header: list[str], rows) -> N
         _write_json(path, {"meta": meta, "columns": header, "rows": [list(r) for r in rows]})
 
 
-def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], axis: list, blocks) -> None:
-    """Write the rows (*prefix, x, value) for each block (prefix, values), x running along axis.
+def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], axis: list, lines) -> None:
+    """Write the rows (*prefix, x, value) of a curve table, x running along axis.
 
-    A curve table is a product of axes, so each axis value and each prefix
-    is formatted once per table, not once per row; values[i] belongs to
-    axis[i] and is a float.
+    Each line is (prefix, texts): its values in axis order, each formatted
+    with _FLOAT by the caller, so a table whose values repeat (the phase
+    plane) can format each distinct value once. 17 significant digits make
+    float(text) the value itself, which is what the JSON form holds. A
+    curve table is a product of axes, so each axis value and each prefix is
+    formatted once per table, not once per row.
     """
     if fmt != "csv":
-        rows = [(*prefix, x, value) for prefix, values in blocks for x, value in zip(axis, values)]
+        rows = [(*prefix, x, float(text)) for prefix, texts in lines for x, text in zip(axis, texts)]
         _write_table(path, fmt, meta, header, rows)
         return
     cells = [_fmt(x) for x in axis]
 
-    def lines():
-        for prefix, values in blocks:
+    def body():
+        for prefix, texts in lines:
             head = "".join(_fmt(v) + "," for v in prefix)
-            yield "".join([f"{head}{x},{value:{_FLOAT}}\r\n" for x, value in zip(cells, values)])
+            rows = zip(cells, texts)
+            while chunk := [f"{head}{x},{text}\r\n" for x, text in itertools.islice(rows, _CHUNK_ROWS)]:
+                yield "".join(chunk)
 
-    _write_csv(path, meta, header, lines())
+    _write_csv(path, meta, header, body())
+
+
+def _curve(prefix: tuple, values: list) -> tuple:
+    """One line of _write_curves, its values formatted as the file takes them."""
+    return prefix, map(format, values, itertools.repeat(_FLOAT))
 
 
 def _meta(command: str, params: dict) -> dict:
@@ -319,10 +330,23 @@ def cmd_optimal_curves(args) -> int:
     )
     _write_curves(
         Path(args.out), args.format, meta, ["r", "fc", "p_opt"], fc_grid.tolist(),
-        (((r,), optimal_average(dim, r, fc_grid).tolist()) for r in args.r),
+        (_curve((r,), optimal_average(dim, r, fc_grid).tolist()) for r in args.r),
     )
     print(f"optimal-curves: wrote {rows} rows for N={dim}, r in {args.r}")
     return 0
+
+
+def _phase_table(n: int, axis: list):
+    """The phase plane as lines of _write_curves, one per alpha in axis.
+
+    Each distinct value of the plane is formatted once.
+    """
+    start, texts = 0, []
+    for fresh, codes in _phase_plane_blocks(n, axis):
+        texts += [format(value, _FLOAT) for value in fresh]
+        for alpha, line in zip(axis[start : start + len(codes)], codes):
+            yield (n, alpha), map(texts.__getitem__, line.tolist())
+        start += len(codes)
 
 
 def cmd_ansatz_grid(args) -> int:
@@ -331,7 +355,6 @@ def cmd_ansatz_grid(args) -> int:
     _check_rows(mixing_rows, "--mixing-n with --points")
     phase_axis = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False).tolist()
     theta_axis = np.linspace(0.0, math.pi / 2.0, args.points).tolist()
-    plane = optimal_success_phase_plane(args.n, phase_axis)
 
     suffix = "csv" if args.format == "csv" else "json"
     base = Path(args.out)
@@ -342,13 +365,13 @@ def cmd_ansatz_grid(args) -> int:
         phases_path, args.format,
         _meta("ansatz-grid", {**common, "block": "phases", "n": args.n}),
         ["n", "alpha", "beta", "p"], phase_axis,
-        zip(((args.n, a) for a in phase_axis), plane),
+        _phase_table(args.n, phase_axis),
     )
     _write_curves(
         mixing_path, args.format,
         _meta("ansatz-grid", {**common, "block": "mixing", "n": args.mixing_n}),
         ["n", "theta", "p"], theta_axis,
-        (((n,), [optimal_success_vs_mixing(n, t) for t in theta_axis]) for n in args.mixing_n),
+        (_curve((n,), [optimal_success_vs_mixing(n, t) for t in theta_axis]) for n in args.mixing_n),
     )
     print(
         f"ansatz-grid: wrote {args.points**2} phase rows to {phases_path.name}, "

@@ -61,7 +61,7 @@ class ObjectiveTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        check_qubit_count(self.n)
+        object.__setattr__(self, "n", check_qubit_count(self.n))
         vals = np.array(self.values, dtype=np.float64, copy=True)
         if vals.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} values for n={self.n}, got shape {vals.shape}")
@@ -112,7 +112,7 @@ def make_objective(kind: str, n: int, seed: int) -> ObjectiveTable:
     """Built-in generators: 'permutation' of 0..N-1, 'uniform' reals, 'constant'."""
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown objective generator {kind!r}; choose from {GENERATOR_KINDS}")
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     dim = 2**n
     rng = np.random.default_rng([seed, dim])
     if kind == "permutation":
@@ -409,7 +409,7 @@ def _minimizations(
             if value < d:
                 x, d = outcome.index, value
                 history.append((x, d))
-                marked = marked[values[marked] < d]  # still sorted
+                marked = marked.compress(values[marked] < d)  # still sorted
         reports.append(MinimizationReport(
             result_index=x,
             result_value=d,

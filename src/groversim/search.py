@@ -72,9 +72,15 @@ class SearchConfig:
     vartheta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        theta = mixing_angle(2 ** check_qubit_count(self.n), self.r)
+        n = check_qubit_count(self.n)
+        theta = mixing_angle(2**n, self.r)
+        tau = check_step_count(self.tau)
+        # numpy integers are kept as ints
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", int(self.r))
+        object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "vartheta", theta * (check_step_count(self.tau) + 0.5))
+        object.__setattr__(self, "vartheta", theta * (tau + 0.5))
 
     @property
     def dimension(self) -> int:

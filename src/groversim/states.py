@@ -27,8 +27,9 @@ def check_integer(value, what: str) -> int:
 
 
 def check_qubit_count(n) -> int:
-    """Return n if it is an int in [1, MAX_QUBITS]; raise ValueError otherwise."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+    """Return n as an int if it is an integer in [1, MAX_QUBITS]; raise ValueError otherwise."""
+    n = check_integer(n, "qubit count")
+    if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be an int in [1, {MAX_QUBITS}], got {n!r}")
     return n
 
@@ -51,7 +52,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        check_qubit_count(self.n)
+        object.__setattr__(self, "n", check_qubit_count(self.n))
         amps = _frozen_complex(self.amplitudes)
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got shape {amps.shape}")
@@ -118,7 +119,7 @@ class StateMixture:
 
 def basis_state(n: int, index: int = 0) -> PureState:
     """The computational basis state |index> on n qubits."""
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     index = check_integer(index, "basis index")
     if not 0 <= index < 2**n:
         raise ValueError(f"basis index {index} out of range for n={n}")
@@ -129,7 +130,7 @@ def basis_state(n: int, index: int = 0) -> PureState:
 
 def equal_superposition(n: int) -> PureState:
     """The uniform superposition |eta> with every amplitude 1/sqrt(2**n)."""
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     dim = 2**n
     return PureState(n, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 

@@ -171,3 +171,62 @@ def test_mixing_slice_peaks_uniquely_at_quarter_pi():
             a, c = c, d
             d = a + invphi * (b - a)
     assert (a + b) / 2 == pytest.approx(math.pi / 4, abs=1e-6)
+
+
+def _bits(rows):
+    return [[value.hex() for value in row] for row in rows]
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_phase_plane_is_the_pointwise_slice_bit_for_bit(n):
+    grid = np.linspace(0.0, 2 * math.pi, 64, endpoint=False).tolist()
+    plane = optimal_success_phase_plane(n, grid)
+    assert all(type(value) is float for row in plane for value in row)
+    assert _bits(plane) == _bits([[optimal_success_vs_phases(n, a, b) for b in grid] for a in grid])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 20),
+    phases=st.lists(st.floats(-40.0, 40.0, allow_nan=False), min_size=1, max_size=24),
+)
+def test_phase_plane_matches_pointwise_on_any_phases(n, phases):
+    # unsorted, repeated, negative and beyond 2pi: the plane restates
+    # CPython's complex ** int, so this is what catches an interpreter whose
+    # complex power rounds differently
+    plane = optimal_success_phase_plane(n, phases)
+    assert _bits(plane) == _bits([[optimal_success_vs_phases(n, a, b) for b in phases] for a in phases])
+
+
+def test_phase_plane_is_exactly_symmetric():
+    # e^{ia} + e^{ib} == e^{ib} + e^{ia} in IEEE arithmetic
+    rng = np.random.default_rng(7)
+    phases = rng.uniform(-10.0, 10.0, 97).tolist()
+    for n in (1, 6, 13, 20):
+        plane = np.array(optimal_success_phase_plane(n, phases))
+        assert np.array_equal(plane, plane.T)
+
+
+def test_phase_plane_edge_sizes():
+    assert optimal_success_phase_plane(3, []) == []
+    assert optimal_success_phase_plane(3, [0.25]) == [[optimal_success_vs_phases(3, 0.25, 0.25)]]
+    assert optimal_success_phase_plane(np.int64(2), np.array([0.0, math.pi / 2])) == [
+        [1.0, optimal_success_vs_phases(2, 0.0, math.pi / 2)],
+        [optimal_success_vs_phases(2, math.pi / 2, 0.0), 1.0],
+    ]
+
+
+def test_phase_plane_workspace_is_bounded_by_row_blocks():
+    # 1,000 points make 10^6 cells. As one block, the six float64 arrays and
+    # np.unique took 106 MiB beyond the result; the row blocks take about 8.
+    import tracemalloc
+
+    grid = np.linspace(0.0, 2 * math.pi, 1000, endpoint=False).tolist()
+    tracemalloc.start()
+    try:
+        plane = optimal_success_phase_plane(12, grid)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(plane) == 1000
+    assert peak - kept < 16 * 2**20

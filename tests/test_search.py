@@ -195,6 +195,15 @@ def test_config_angles():
     assert cfg.dimension == 4
 
 
+def test_config_takes_numpy_integers_as_ints():
+    cfg = SearchConfig(np.int64(3), np.int32(2), np.uint16(4))
+    assert (cfg.n, cfg.r, cfg.tau) == (3, 2, 4)
+    assert all(type(v) is int for v in (cfg.n, cfg.r, cfg.tau))
+    assert cfg == SearchConfig(3, 2, 4)
+    with pytest.raises(ValueError, match="step count must be a non-negative int, got -1"):
+        SearchConfig(3, 2, np.int64(-1))
+
+
 def test_config_validation():
     for r in (0, 5, 1.0):
         with pytest.raises(ValueError, match="marked count"):

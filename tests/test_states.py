@@ -35,6 +35,18 @@ def test_basis_state_puts_unit_mass_on_one_index():
     assert basis_state(3, np.int64(5)).amplitudes[5] == 1.0
 
 
+def test_numpy_integer_qubit_counts_are_ints():
+    # one integer rule: a numpy integer is as good as an int, and is kept as one
+    s = basis_state(np.int64(3), np.int32(5))
+    assert s.n == 3 and type(s.n) is int
+    assert s.amplitudes[5] == 1.0
+    assert type(equal_superposition(np.uint8(2)).n) is int
+    with pytest.raises(ValueError, match="qubit count must be an integer, got 3.0"):
+        basis_state(3.0)
+    with pytest.raises(ValueError, match=r"qubit count must be an int in \[1, 20\], got 21"):
+        basis_state(np.int64(21))
+
+
 def test_equal_superposition_is_uniform():
     s = equal_superposition(4)
     np.testing.assert_allclose(s.amplitudes, np.full(16, 0.25))
