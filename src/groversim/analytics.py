@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .states import PureState, StateMixture, check_integer
+from .states import NORM_ATOL, PureState, StateMixture, check_integer
 
 SMALL_DENSITY_CAP = 64
 _HERMITIAN_ATOL = 1e-10
@@ -99,9 +99,13 @@ def check_step_count(tau) -> int:
 
 
 def _check_fraction(fc):
-    """fc, a float or an ndarray of them, checked to lie in [0, 1 + 1e-12] and clamped to 1."""
+    """fc, a float or an ndarray of them, checked to lie in [0, 1 + NORM_ATOL] and clamped to 1.
+
+    A state normalized to NORM_ATOL, or a mixture whose weights sum to 1
+    within it, can have f_c that far above 1.
+    """
     values = np.asarray(fc, dtype=np.float64)
-    inside = (values >= 0.0) & (values <= 1.0 + 1e-12)
+    inside = (values >= 0.0) & (values <= 1.0 + NORM_ATOL)
     if not inside.all():
         bad = float(values[~inside].flat[0])
         raise ValueError(f"coherence fraction must lie in [0, 1], got {bad!r}")

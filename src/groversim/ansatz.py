@@ -17,7 +17,7 @@ import numpy as np
 from .states import PureState, SingleQubitGate, check_qubit_count
 
 _TWO_PI = 2.0 * math.pi
-_PLANE_BLOCK_CELLS = 2**14  # cells per row block of the phase plane: 128 KiB per workspace array
+_PLANE_BLOCK_CELLS = 2**14  # cells per row block of the phase plane: 128 KiB per float64 array
 
 
 def _check_phase(name: str, value: float) -> None:
@@ -88,11 +88,6 @@ def ansatz_coherence_fraction(n: int, p: LocalGateParams) -> float:
     return abs(sum(_qubit(p)) ** n) ** 2 / 2**n
 
 
-def _phase_success(n: int, ea: complex, eb: complex) -> float:
-    """|(ea + eb)^n|^2 / 4^n for ea = e^{ia}, eb = e^{ib}."""
-    return abs((ea + eb) ** n) ** 2 / 4**n
-
-
 def optimal_success_vs_phases(n: int, alpha: float, beta: float) -> float:
     """Idealized optimal success for one marked item at theta = pi/4.
 
@@ -102,54 +97,37 @@ def optimal_success_vs_phases(n: int, alpha: float, beta: float) -> float:
     n = check_qubit_count(n)
     _check_phase("alpha", alpha)
     _check_phase("beta", beta)
-    return _phase_success(n, cmath.exp(1j * alpha), cmath.exp(1j * beta))
+    return abs((cmath.exp(1j * alpha) + cmath.exp(1j * beta)) ** n) ** 2 / 4**n
 
 
-def _c_powu(pr, pi, n: int, rr, ri, t, u):
+def _c_powu(pr, pi, n: int):
     """(pr + i pi) ** n elementwise, bit for bit as CPython's complex ** int.
 
     That is c_powu: walk the bits of n from the low end, multiplying the
     result by the running square p at each set bit. Each product is
     (ar br - ai bi, ar bi + ai br) in float64 ufuncs, in that order; numpy's
-    complex power rounds differently. All six arrays are overwritten; the
-    result is returned as (real, imag), two of them.
+    complex power rounds differently. Returns (real, imag).
     """
-    started = False
+    rr = ri = None
     while True:
         if n & 1:
-            if started:
-                np.multiply(rr, pr, out=t)
-                np.multiply(ri, pi, out=u)
-                np.subtract(t, u, out=t)
-                np.multiply(rr, pi, out=u)
-                np.multiply(ri, pr, out=ri)
-                np.add(u, ri, out=ri)
-                rr, t = t, rr
+            if rr is None:
+                rr, ri = pr, pi  # 1 * p is p up to the sign of a zero, which no later |.| sees
             else:
-                # 1 * p is p up to the sign of a zero, which no later |.| sees
-                np.copyto(rr, pr)
-                np.copyto(ri, pi)
-                started = True
+                rr, ri = rr * pr - ri * pi, rr * pi + ri * pr
         n >>= 1
         if not n:
             return rr, ri
-        np.multiply(pr, pr, out=t)
-        np.multiply(pi, pi, out=u)
-        np.subtract(t, u, out=t)
-        np.multiply(pr, pi, out=u)
-        np.add(u, u, out=pi)  # pr pi + pi pr
-        pr, t = t, pr
+        pr, pi = pr * pr - pi * pi, pr * pi + pi * pr
 
 
-def _phase_plane_blocks(n: int, phases):
-    """The phase plane of optimal_success_phase_plane, by blocks of rows.
+def _phase_plane_rows(n: int, phases, convert):
+    """The rows of optimal_success_phase_plane, each value passed through convert.
 
-    Yields (fresh, codes) per block. codes is an int array with one row per
-    plane row, and cell (a, b) is the codes[a, b]-th of all the values
-    yielded so far; fresh lists the values that first appear in this block,
-    in code order. So every distinct success is yielded, and can be
-    formatted, once per plane. The workspace is six float64 arrays of at
-    most _PLANE_BLOCK_CELLS cells.
+    Yields one list per phase a, in order. The powers are taken in float64
+    arrays by blocks of at most _PLANE_BLOCK_CELLS cells, and convert is
+    called once per distinct value of the plane, so a caller that formats
+    the values formats each one once.
     """
     n = check_qubit_count(n)
     phases = [float(value) for value in phases]
@@ -158,36 +136,30 @@ def _phase_plane_blocks(n: int, phases):
     exps = [cmath.exp(1j * value) for value in phases]
     re = np.array([e.real for e in exps])
     im = np.array([e.imag for e in exps])
-    k = len(exps)
-    rows = max(1, _PLANE_BLOCK_CELLS // max(k, 1))
-    workspace = [np.empty((min(rows, k), k)) for _ in range(6)]
+    rows = max(1, _PLANE_BLOCK_CELLS // max(len(exps), 1))
     quarter_n = 4**n
-    known = {}  # |(ea + eb)^n| -> its code
-    for start in range(0, k, rows):
-        pr, pi, rr, ri, t, u = (a[: min(rows, k - start)] for a in workspace)
-        np.add(re[start : start + rows, None], re, out=pr)
-        np.add(im[start : start + rows, None], im, out=pi)
-        real, imag = _c_powu(pr, pi, n, rr, ri, t, u)
-        h = np.hypot(real, imag, out=pr)  # abs(complex) is hypot
+    converted = {}  # |(ea + eb)^n| -> convert(|(ea + eb)^n|^2 / 4^n)
+    for start in range(0, len(exps), rows):
+        real, imag = _c_powu(re[start : start + rows, None] + re, im[start : start + rows, None] + im, n)
+        h = np.hypot(real, imag)  # abs(complex) is hypot
         distinct, inverse = np.unique(h.ravel(), return_inverse=True)
-        seen, distinct = len(known), distinct.tolist()
-        codes = [known.setdefault(x, len(known)) for x in distinct]
-        fresh = [x**2 / quarter_n for x, code in zip(distinct, codes) if code >= seen]
-        yield fresh, np.array(codes)[inverse].reshape(h.shape)
+        distinct = distinct.tolist()
+        for x in distinct:
+            if x not in converted:
+                converted[x] = convert(x**2 / quarter_n)
+        values = [converted[x] for x in distinct]
+        for line in inverse.reshape(h.shape).tolist():
+            yield [values[c] for c in line]
 
 
 def optimal_success_phase_plane(n: int, phases) -> list[list[float]]:
     """optimal_success_vs_phases(n, a, b) for every a, b in phases, one row per a.
 
     Each phase is checked and exponentiated once, and the powers are taken
-    in one array pass by blocks of rows (_phase_plane_blocks); every value
+    in one array pass by blocks of rows (_phase_plane_rows); every value
     equals the pointwise one bit for bit.
     """
-    values, plane = [], []
-    for fresh, codes in _phase_plane_blocks(n, phases):
-        values += fresh
-        plane += ([values[c] for c in line] for line in codes.tolist())
-    return plane
+    return list(_phase_plane_rows(n, phases, float))
 
 
 def optimal_success_vs_mixing(n: int, theta: float) -> float:

@@ -24,11 +24,11 @@ from . import __version__
 from .analytics import closed_form_average, coherence_fraction, optimal_average
 from .ansatz import (
     LocalGateParams,
-    _phase_plane_blocks,
+    _phase_plane_rows,
     optimal_success_vs_mixing,
     prepare_ansatz_state,
 )
-from .kernels import MAX_SUBSETS, subset_count
+from .kernels import MAX_SUBSETS
 from .minimize import (
     GENERATOR_KINDS,
     ObjectiveTable,
@@ -41,6 +41,7 @@ from .search import (
     EnumerationCapError,
     MarkedSet,
     average_trajectory_over_all_sets,
+    check_enumeration_cap,
     run_search,
 )
 from .states import PureState, basis_state, check_qubit_count, equal_superposition
@@ -48,6 +49,8 @@ from .states import PureState, basis_state, check_qubit_count, equal_superpositi
 DEVIATION_THRESHOLD = 1e-10
 _FLOAT = ".17g"  # the format of every float written to a CSV file
 _CHUNK_ROWS = 4096  # curve-table rows joined into one string before it is written
+# Encodes a flat row as json.dumps(..., indent=2) lays it out inside "rows", bar the brackets.
+_JSON_ROW = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
 def _fmt(value) -> str:
@@ -101,11 +104,27 @@ def _write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, [json.dumps(payload, sort_keys=True, indent=2), "\n"])
 
 
+def _json_table(meta: dict, header: list[str], rows):
+    """A table's JSON file in pieces: the head, then one piece per row of scalars.
+
+    Joined, they are json.dumps({"columns": header, "meta": meta, "rows": rows},
+    sort_keys=True, indent=2) and a newline, but no more than a row is held at once.
+    """
+    head = json.dumps({"columns": header, "meta": meta}, sort_keys=True, indent=2)
+    yield head[: -len("\n}")] + ',\n  "rows": ['
+    empty = True
+    for row in rows:
+        yield ("" if empty else ",") + "\n    [\n      " + _JSON_ROW(list(row))[1:-1] + "\n    ]"
+        empty = False
+    yield "]\n}\n" if empty else "\n  ]\n}\n"
+
+
 def _write_table(path: Path, fmt: str, meta: dict, header: list[str], rows) -> None:
+    """Write rows, an iterable of flat rows, to the file as they come, as CSV or JSON."""
     if fmt == "csv":
         _write_csv(path, meta, header, map(_csv_line, rows))
     else:
-        _write_json(path, {"meta": meta, "columns": header, "rows": [list(r) for r in rows]})
+        _atomic_write(path, _json_table(meta, header, rows))
 
 
 def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], axis: list, lines) -> None:
@@ -119,7 +138,7 @@ def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], axis: lis
     formatted once per table, not once per row.
     """
     if fmt != "csv":
-        rows = [(*prefix, x, float(text)) for prefix, texts in lines for x, text in zip(axis, texts)]
+        rows = ((*prefix, x, float(text)) for prefix, texts in lines for x, text in zip(axis, texts))
         _write_table(path, fmt, meta, header, rows)
         return
     cells = [_fmt(x) for x in axis]
@@ -268,10 +287,10 @@ def cmd_verify_average(args) -> int:
         raise ValueError(f"every --r entry exceeds N = 2**n = {2**max(args.n)} for the largest --n")
     _check_rows(len(cells) * (2 + args.states) * (args.tau + 1), "--n, --r, --states and --tau")
     for n, r in cells:
-        subsets = subset_count(2**n, r)
-        if subsets is None or subsets > args.cap:
-            shown = "2**63 or more" if subsets is None else f"{subsets:,}"
-            raise ValueError(f"--cap {args.cap} is below C({2**n}, {r}) = {shown} subsets")
+        try:
+            check_enumeration_cap(2**n, r, args.cap)
+        except EnumerationCapError as exc:
+            raise ValueError(f"--cap {exc}") from None
 
     def sweep_cell(cell: tuple[int, int]) -> list[tuple]:
         n, r = cell
@@ -336,19 +355,6 @@ def cmd_optimal_curves(args) -> int:
     return 0
 
 
-def _phase_table(n: int, axis: list):
-    """The phase plane as lines of _write_curves, one per alpha in axis.
-
-    Each distinct value of the plane is formatted once.
-    """
-    start, texts = 0, []
-    for fresh, codes in _phase_plane_blocks(n, axis):
-        texts += [format(value, _FLOAT) for value in fresh]
-        for alpha, line in zip(axis[start : start + len(codes)], codes):
-            yield (n, alpha), map(texts.__getitem__, line.tolist())
-        start += len(codes)
-
-
 def cmd_ansatz_grid(args) -> int:
     """Two gridded slices of the ansatz optimum: phase plane and mixing angle."""
     mixing_rows = len(args.mixing_n) * args.points
@@ -365,7 +371,7 @@ def cmd_ansatz_grid(args) -> int:
         phases_path, args.format,
         _meta("ansatz-grid", {**common, "block": "phases", "n": args.n}),
         ["n", "alpha", "beta", "p"], phase_axis,
-        _phase_table(args.n, phase_axis),
+        zip(((args.n, alpha) for alpha in phase_axis), _phase_plane_rows(args.n, phase_axis, _fmt)),
     )
     _write_curves(
         mixing_path, args.format,
@@ -575,7 +581,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except argparse.ArgumentError as exc:
         message = " ".join(filter(None, (exc.argument_name, exc.message)))
-    except (ValueError, OSError, EnumerationCapError) as exc:
+    except (ValueError, OSError) as exc:
         message = str(exc)
     print(f"error: {message}", file=sys.stderr)
     return 2

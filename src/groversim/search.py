@@ -221,14 +221,19 @@ def average_trajectory_over_all_sets(
     kernels.MAX_SUBSETS acts as that bound.
     """
     SearchConfig(initial.n, r, tau_max)
-    total = kernels.subset_count(initial.dimension, r)
+    check_enumeration_cap(initial.dimension, r, cap)
+    return kernels.average_trajectory(initial.amplitudes, r, tau_max)
+
+
+def check_enumeration_cap(dim: int, r: int, cap: int) -> None:
+    """Raise EnumerationCapError unless C(dim, r) is at most cap and kernels.MAX_SUBSETS."""
+    total = kernels.subset_count(dim, r)
     if total is None or total > cap:
         shown = "2**63 or more" if total is None else total
         raise EnumerationCapError(
-            f"C({initial.dimension}, {r}) = {shown} subsets exceeds the enumeration cap "
+            f"C({dim}, {r}) = {shown} subsets exceeds the enumeration cap "
             f"{min(cap, kernels.MAX_SUBSETS)}"
         )
-    return kernels.average_trajectory(initial.amplitudes, r, tau_max)
 
 
 def _split_means(initial: PureState, marked: MarkedSet) -> tuple[float, complex, complex]:

@@ -121,9 +121,29 @@ def test_optimal_average_takes_an_array_with_the_scalar_check_and_clamp():
     assert values.tolist() == [optimal_average(32, 3, float(fc)) for fc in fcs]
     assert values[-1] == optimal_average(32, 3, 1.0)  # clamped, as for a float
     assert isinstance(optimal_average(32, 3, 0.3), float)
-    for bad in (1.0 + 1e-11, -1e-300, np.nan):
+    for bad in (1.0 + 2e-10, -1e-300, np.nan):
         with pytest.raises(ValueError, match=f"got {bad!r}"):
             optimal_average(32, 3, np.array([0.5, bad, 0.25]))
+
+
+def test_fraction_up_to_the_normalization_tolerance_counts_as_one():
+    # PureState and StateMixture accept a norm or weight sum up to 1 + 1e-10,
+    # so f_c can exceed 1 by as much; the closed forms must take such states
+    n, r, tau = 3, 2, 1
+    high = PureState(n, np.full(2**n, (1 + 2e-11) / np.sqrt(2**n)))
+    assert 1.0 < coherence_fraction(high) <= 1.0 + 1e-10
+    brute = average_over_all_sets(high, r, tau)
+    assert closed_form_average(2**n, r, tau, coherence_fraction(high)) == pytest.approx(brute, abs=1e-10)
+    assert optimal_average(2**n, r, coherence_fraction(high)) == optimal_average(2**n, r, 1.0)
+
+    uniform = equal_superposition(n)
+    mixture = StateMixture(((0.5 + 2.5e-11, uniform), (0.5 + 2.5e-11, uniform)))
+    assert coherence_fraction_mixture(mixture) > 1.0
+    assert closed_form_average_mixture(2**n, r, tau, mixture) == pytest.approx(
+        average_over_all_sets(uniform, r, tau), abs=1e-10
+    )
+    with pytest.raises(ValueError, match="coherence fraction must lie in"):
+        closed_form_average(2**n, r, tau, 1.0 + 2e-10)
 
 def test_idealization_gap_is_bounded():
     # the closed form at tau_opt sits within (1 - sin^2 vartheta) of the ideal line

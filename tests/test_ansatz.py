@@ -19,6 +19,7 @@ from groversim import (
     optimal_success_vs_phases,
     prepare_ansatz_state,
 )
+from groversim.ansatz import _phase_plane_rows
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 mixing = st.floats(0.0, math.pi / 2, allow_nan=False)
@@ -230,3 +231,18 @@ def test_phase_plane_workspace_is_bounded_by_row_blocks():
         tracemalloc.stop()
     assert len(plane) == 1000
     assert peak - kept < 16 * 2**20
+
+
+@pytest.mark.parametrize("n, distinct", [(2, 3202), (12, 11047)])
+def test_phase_plane_converts_each_distinct_value_once(n, distinct):
+    # 301 points make 90,601 cells; the README gives these distinct-value counts
+    grid = np.linspace(0.0, 2 * math.pi, 301, endpoint=False).tolist()
+    converted = []
+
+    def convert(value):
+        converted.append(value)
+        return format(value, ".17g")
+
+    rows = list(_phase_plane_rows(n, grid, convert))
+    assert len(converted) == len(set(converted)) == distinct
+    assert rows == [[format(value, ".17g") for value in row] for row in optimal_success_phase_plane(n, grid)]

@@ -9,6 +9,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -446,7 +447,7 @@ def test_verify_checks_the_cap_of_every_cell_before_the_first(tmp_path, capsys, 
     monkeypatch.setattr(cli, "average_trajectory_over_all_sets", lambda *a, **k: ran.append(a))
     assert main(["verify-average", "--n", "4", "--r", "1,2", "--cap", "100", "--states", "0",
                  "--tau", "1", "--out", str(tmp_path / "v.csv")]) == 2
-    assert capsys.readouterr().err == "error: --cap 100 is below C(16, 2) = 120 subsets\n"
+    assert capsys.readouterr().err == "error: --cap C(16, 2) = 120 subsets exceeds the enumeration cap 100\n"
     assert ran == [] and list(tmp_path.iterdir()) == []
 
 
@@ -457,8 +458,17 @@ def test_vast_cells_are_refused_without_their_exact_count(tmp_path, capsys):
     assert main(argv) == 2
     assert time.perf_counter() - started < 1.0
     assert capsys.readouterr().err == (
-        "error: --cap 10000000 is below C(1048576, 524288) = 2**63 or more subsets\n")
+        "error: --cap C(1048576, 524288) = 2**63 or more subsets exceeds the enumeration cap 10000000\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n, r, cap", [(4, 2, 100), (5, 3, 10), (20, 524288, 10_000_000), (7, 64, 2**63 - 1)])
+def test_the_cli_reports_the_library_cap_message(tmp_path, capsys, n, r, cap):
+    with pytest.raises(groversim.EnumerationCapError) as excinfo:
+        groversim.average_over_all_sets(groversim.equal_superposition(n), r, 1, cap=cap)
+    assert main(["verify-average", "--n", str(n), "--r", str(r), "--cap", str(cap), "--states", "0",
+                 "--tau", "1", "--out", str(tmp_path / "v.csv")]) == 2
+    assert capsys.readouterr().err == f"error: --cap {excinfo.value}\n"
 
 
 def test_largest_tables_within_the_cap_are_accepted():
@@ -468,3 +478,45 @@ def test_largest_tables_within_the_cap_are_accepted():
     assert args.fc_grid == "0:1:10000000"
     args = build_parser().parse_args(["run", "--n", "3", "--marked", "1", "--tau", "9999999"])
     assert args.tau == 9999999
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(1, 2, 0.5, "basis", True, None, 1e-17)],
+    [(n, -n * 0.1, float(n) / 3, "uniform", n % 2 == 0) for n in range(50)],
+])
+def test_json_tables_stream_the_layout_of_one_dumps(tmp_path, rows):
+    meta = {"tool": "groversim", "n": [1, 2], "format": "json", "threshold": 1e-10}
+    header = ["a", "b", "c", "d", "e", "f", "g"][: len(rows[0]) if rows else 3]
+    cli._write_table(tmp_path / "t.json", "json", meta, header, iter(rows))
+    assert (tmp_path / "t.json").read_text() == json.dumps(
+        {"meta": meta, "columns": header, "rows": [list(row) for row in rows]}, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_tables_are_written_row_by_row(tmp_path):
+    # built as one document, these 2 * 10^5 rows peaked at 108 MiB traced; streamed, at 0.03
+    import tracemalloc
+
+    rows = ((i, i / 7.0, 1.0 - i / 11.0) for i in range(200_000))
+    tracemalloc.start()
+    try:
+        cli._write_table(tmp_path / "t.json", "json", {"n": 1}, ["i", "x", "y"], rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(json.loads((tmp_path / "t.json").read_text())["rows"]) == 200_000
+
+
+def test_ansatz_grid_body_is_the_public_plane_cell_by_cell(tmp_path):
+    points = 301
+    assert main(["ansatz-grid", "--n", "12", "--mixing-n", "1", "--points", str(points),
+                 "--out", str(tmp_path / "g")]) == 0
+    axis = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False).tolist()
+    plane = groversim.optimal_success_phase_plane(12, axis)
+    expected = "".join(
+        f"12,{format(a, '.17g')},{format(b, '.17g')},{format(p, '.17g')}\r\n"
+        for a, row in zip(axis, plane) for b, p in zip(axis, row)
+    )
+    text = (tmp_path / "g_phases.csv").read_bytes().decode()
+    assert text.endswith("n,alpha,beta,p\r\n" + expected)
