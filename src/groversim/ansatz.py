@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState, SingleQubitGate, check_qubit_count
+from .states import PureState, SingleQubitGate, check_qubit_count, sealed
 
 _TWO_PI = 2.0 * math.pi
 _PLANE_BLOCK_CELLS = 2**14  # cells per row block of the phase plane: 128 KiB per float64 array
@@ -73,13 +73,29 @@ def prepare_ansatz_state(n: int, p: LocalGateParams) -> PureState:
     The amplitude on basis label j is (e^{ia} cos t)^{z_j} (e^{ib} sin t)^{n-z_j}
     with z_j the number of zero bits in j; the circuit route through
     apply_product_unitary reproduces this to round-off.
+
+    The vector is gathered by row blocks: label j = h 2^low + l, with the
+    n // 2 high bits h and the low = n - n // 2 low bits l, takes the value
+    table[popcount(h)][l], where table[w][l] = by_weight[w + popcount(l)].
+    One take of the (n // 2 + 1, 2^low) table's rows fills the vector in
+    place, so the only 2**n array is the result itself.
     """
     n = check_qubit_count(n)
     zero_amp, one_amp = _qubit(p)
     zero_pows = np.array([zero_amp**k for k in range(n + 1)], dtype=np.complex128)
     one_pows = np.array([one_amp**k for k in range(n + 1)], dtype=np.complex128)
     by_weight = zero_pows[::-1] * one_pows  # the amplitude of a label with k one bits
-    return PureState(n, by_weight[np.bitwise_count(np.arange(2**n, dtype=np.uint32))])
+    high, low = n // 2, n - n // 2
+    table = by_weight[np.arange(high + 1)[:, None] + _popcounts(low)]
+    amps = np.empty(2**n, dtype=np.complex128)
+    # mode="clip" writes straight into out ("raise" buffers it); every index is in range
+    table.take(_popcounts(high), axis=0, out=amps.reshape(-1, 2**low), mode="clip")
+    return PureState(n, sealed(amps))
+
+
+def _popcounts(bits: int) -> np.ndarray:
+    """The number of one bits of each label 0 .. 2**bits - 1."""
+    return np.bitwise_count(np.arange(2**bits, dtype=np.uint32))
 
 
 def ansatz_coherence_fraction(n: int, p: LocalGateParams) -> float:

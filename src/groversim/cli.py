@@ -44,7 +44,7 @@ from .search import (
     check_enumeration_cap,
     run_search,
 )
-from .states import PureState, basis_state, check_qubit_count, equal_superposition
+from .states import PureState, basis_state, check_qubit_count, equal_superposition, sealed
 
 DEVIATION_THRESHOLD = 1e-10
 _FLOAT = ".17g"  # the format of every float written to a CSV file
@@ -264,7 +264,7 @@ def _points(text: str) -> int:
 def _random_state(n: int, rng: np.random.Generator) -> PureState:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
-    return PureState(n, amps)
+    return PureState(n, sealed(amps))
 
 
 def _start_state(args, n: int) -> tuple[PureState, dict]:

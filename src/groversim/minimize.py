@@ -48,26 +48,29 @@ import numpy as np
 from .analytics import closed_form_average
 from .ansatz import LocalGateParams, prepare_ansatz_state
 from .search import MarkedSet
-from .states import PureState, check_integer, check_qubit_count, equal_superposition
+from .states import PureState, check_integer, check_qubit_count, equal_superposition, frozen_array, sealed
 
 GENERATOR_KINDS = ("permutation", "uniform", "constant")
 
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveTable:
-    """Objective values f(x) for every x in [0, 2**n), all finite."""
+    """Objective values f(x) for every x in [0, 2**n), all finite.
+
+    values is read-only, under the ownership rule of PureState: a writeable
+    array is copied, a sealed float64 one is taken over.
+    """
 
     n: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_qubit_count(self.n))
-        vals = np.array(self.values, dtype=np.float64, copy=True)
+        vals = frozen_array(self.values, np.float64)
         if vals.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} values for n={self.n}, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("objective values must all be finite")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -116,10 +119,10 @@ def make_objective(kind: str, n: int, seed: int) -> ObjectiveTable:
     dim = 2**n
     rng = np.random.default_rng([seed, dim])
     if kind == "permutation":
-        return ObjectiveTable(n, rng.permutation(dim).astype(np.float64))
+        return ObjectiveTable(n, sealed(rng.permutation(dim).astype(np.float64)))
     if kind == "uniform":
-        return ObjectiveTable(n, rng.uniform(0.0, 1.0, size=dim))
-    return ObjectiveTable(n, np.zeros(dim))
+        return ObjectiveTable(n, sealed(rng.uniform(0.0, 1.0, size=dim)))
+    return ObjectiveTable(n, sealed(np.zeros(dim)))
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ def threshold_marked_set(table: ObjectiveTable, d: float) -> MarkedSet | None:
     below = np.flatnonzero(table.values < d)
     if below.size == 0:
         return None
-    return MarkedSet(tuple(below.tolist()))
+    return MarkedSet(below)
 
 
 def sample_measurement(state: PureState, rng: np.random.Generator) -> int:

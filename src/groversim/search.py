@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .analytics import check_step_count, mixing_angle
-from .states import PureState, check_integer, check_qubit_count
+from .states import PureState, check_integer, check_qubit_count, sealed
 
 ENUMERATION_CAP = 10_000_000
 DEGENERATE_ATOL = 1e-14
@@ -31,19 +31,23 @@ class EnumerationCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class MarkedSet:
-    """Non-empty set of distinct marked basis indices, stored sorted."""
+    """Non-empty set of distinct marked basis indices, stored sorted.
+
+    indices may be any sequence of integers, numpy's included, or an
+    integer array; it is stored as a sorted tuple of Python ints.
+    """
 
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(sorted(check_integer(i, "marked index") for i in self.indices))
-        if not idx:
+        idx = np.sort(_index_array(self.indices))
+        if not idx.size:
             raise ValueError("marked set must be non-empty")
         if idx[0] < 0:
             raise ValueError(f"marked indices must be non-negative, got {idx[0]}")
-        if len(set(idx)) != len(idx):
+        if np.any(idx[1:] == idx[:-1]):
             raise ValueError("marked indices must be distinct")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", tuple(idx.tolist()))
 
     @property
     def r(self) -> int:
@@ -54,6 +58,25 @@ class MarkedSet:
             raise ValueError(
                 f"marked index {self.indices[-1]} out of range for dimension {dimension}"
             )
+
+
+def _index_array(values) -> np.ndarray:
+    """values as a 1-d array of exact integers, unsorted.
+
+    A sequence numpy reads as an integer array is checked in one pass.
+    Anything else (floats, strings, ragged or wider-than-int64 entries,
+    an empty sequence) goes through check_integer one value at a time,
+    whose ValueError names the first value that is not an integer.
+    """
+    if not isinstance(values, np.ndarray):
+        values = tuple(values)  # an iterator is read once
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        arr = None
+    if arr is not None and arr.ndim == 1 and arr.dtype.kind in "iu":
+        return arr
+    return np.array([check_integer(i, "marked index") for i in values], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -164,13 +187,13 @@ def apply_oracle(state: PureState, marked: MarkedSet) -> PureState:
     amps = state.amplitudes.copy()
     idx = np.asarray(marked.indices, dtype=np.intp)
     amps[idx] = -amps[idx]
-    return PureState(state.n, amps)
+    return PureState(state.n, sealed(amps))
 
 
 def apply_diffusion(state: PureState) -> PureState:
     """Reflect about the uniform state: v -> 2 mean(v) - v."""
     amps = state.amplitudes
-    return PureState(state.n, 2.0 * amps.mean() - amps)
+    return PureState(state.n, sealed(2.0 * amps.mean() - amps))
 
 
 def grover_iterate(state: PureState, marked: MarkedSet, tau: int) -> PureState:
@@ -178,7 +201,7 @@ def grover_iterate(state: PureState, marked: MarkedSet, tau: int) -> PureState:
     marked.validate_for(state.dimension)
     SearchConfig(state.n, marked.r, tau)
     out = kernels.grover_evolve(state.amplitudes, marked.indices, tau)
-    return PureState(state.n, out)
+    return PureState(state.n, sealed(out))
 
 
 def success_probability(initial: PureState, marked: MarkedSet, tau: int) -> float:

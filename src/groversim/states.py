@@ -4,13 +4,18 @@ Basis labels are read with qubit 0 as the most significant bit, so for
 n = 2 the label 2 = 0b10 means qubit 0 in |1> and qubit 1 in |0>.
 Amplitudes are complex128. Objects are immutable after construction and
 every operation returns a new object; nothing mutates in place.
+
+Ownership: a state's amplitudes are a read-only array. A caller's
+writeable array is copied, so later writes to it never reach the state; a
+read-only complex128 ndarray that owns its data is taken over as it is.
+The library builds each state vector once, freezes it in place (`sealed`)
+and hands it over, so no 2**n vector is copied on its way into a PureState.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +39,31 @@ def check_qubit_count(n) -> int:
     return n
 
 
-def _frozen_complex(values: np.ndarray | Sequence[complex]) -> np.ndarray:
-    out = np.array(values, dtype=np.complex128, copy=True)
-    out.setflags(write=False)
-    return out
+def sealed(values: np.ndarray) -> np.ndarray:
+    """Make values read-only in place and return it.
+
+    Only for an array just built that owns its data and that nothing else
+    refers to: PureState, SingleQubitGate and ObjectiveTable then take it
+    over without a copy (frozen_array).
+    """
+    values.setflags(write=False)
+    return values
+
+
+def frozen_array(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype that owns its data.
+
+    A sealed array of that dtype is returned as it is; anything else, a
+    caller's writeable array included, is copied.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == dtype
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
+    return sealed(np.array(values, dtype=dtype))
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +71,9 @@ class PureState:
     """Normalized amplitude vector over the 2**n computational basis states.
 
     Raises ValueError if the squared amplitudes do not sum to 1 within
-    1e-10; no silent re-normalization is applied.
+    1e-10; no silent re-normalization is applied. `amplitudes` is read-only:
+    a writeable array is copied, so later writes to it do not reach the
+    state, and a sealed complex128 array is adopted without a copy.
     """
 
     n: int
@@ -53,7 +81,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_qubit_count(self.n))
-        amps = _frozen_complex(self.amplitudes)
+        amps = frozen_array(self.amplitudes, np.complex128)
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got shape {amps.shape}")
         norm_sq = float(np.real(np.vdot(amps, amps)))
@@ -73,7 +101,7 @@ class SingleQubitGate:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _frozen_complex(self.matrix)
+        m = frozen_array(self.matrix, np.complex128)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
         defect = np.abs(m @ m.conj().T - np.eye(2)).max()
@@ -125,14 +153,14 @@ def basis_state(n: int, index: int = 0) -> PureState:
         raise ValueError(f"basis index {index} out of range for n={n}")
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[index] = 1.0
-    return PureState(n, amps)
+    return PureState(n, sealed(amps))
 
 
 def equal_superposition(n: int) -> PureState:
     """The uniform superposition |eta> with every amplitude 1/sqrt(2**n)."""
     n = check_qubit_count(n)
     dim = 2**n
-    return PureState(n, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
+    return PureState(n, sealed(np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)))
 
 
 def apply_product_unitary(state: PureState, gate: SingleQubitGate) -> PureState:

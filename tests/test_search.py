@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -49,6 +50,42 @@ def test_marked_set_rejects_bad_input():
     with pytest.raises(ValueError, match="marked index must be an integer, got '3'"):
         MarkedSet(("3",))
     assert MarkedSet((np.int64(3), np.int32(1))).indices == (1, 3)
+
+
+def _loop_marked_indices(values):
+    # the per-index check MarkedSet made before it checked with numpy
+    idx = tuple(sorted(operator.index(i) for i in values))
+    if not idx or idx[0] < 0 or len(set(idx)) != len(idx):
+        return None
+    return idx
+
+
+@settings(deadline=None, max_examples=200)
+@given(values=st.lists(st.integers(-3, 40), max_size=12), as_array=st.booleans())
+def test_marked_set_matches_the_per_index_check(values, as_array):
+    expected = _loop_marked_indices(values)
+    try:
+        got = MarkedSet(np.array(values, dtype=np.int64) if as_array else tuple(values)).indices
+    except ValueError:
+        got = None
+    assert got == expected
+    assert got is None or all(type(i) is int for i in got)
+
+
+def test_marked_set_takes_arrays_iterators_and_wide_ints():
+    m = MarkedSet(np.array([9, 2, 4], dtype=np.uint8))
+    assert m.indices == (2, 4, 9) and all(type(i) is int for i in m.indices)
+    assert MarkedSet(iter([3, 1])).indices == (1, 3)
+    assert MarkedSet((True, 2)).indices == (1, 2)
+    # numpy reads these as float64 or object; they take the per-index path exactly
+    assert MarkedSet((2**63, 1)).indices == (1, 2**63)
+    assert MarkedSet((2**70, 3)).indices == (3, 2**70)
+    with pytest.raises(ValueError, match="non-negative, got -1$"):
+        MarkedSet((2**63, -1))
+    with pytest.raises(ValueError, match=r"marked index must be an integer, got \(1, 2\)"):
+        MarkedSet(((1, 2), 3))
+    with pytest.raises(ValueError, match="marked index must be an integer, got np.float64"):
+        MarkedSet(np.array([3.0]))
 
 
 def test_marked_set_range_check():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,20 @@ from hypothesis import strategies as st
 from groversim import (
     MAX_QUBITS,
     LocalGateParams,
+    MarkedSet,
     PureState,
     SingleQubitGate,
     SmallDensityMatrix,
     StateMixture,
+    apply_diffusion,
+    apply_oracle,
     apply_product_unitary,
     basis_state,
     equal_superposition,
     fidelity_with,
+    grover_iterate,
+    make_objective,
+    prepare_ansatz_state,
     success_mass,
 )
 from conftest import random_state
@@ -91,6 +98,57 @@ def test_amplitudes_are_read_only():
     s = basis_state(2)
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
+
+
+def test_a_writeable_array_is_copied_so_later_writes_miss_the_state():
+    amps = np.zeros(4, dtype=np.complex128)
+    amps[1] = 1.0
+    s = PureState(2, amps)
+    amps[1], amps[2] = 0.0, 1.0
+    assert s.amplitudes.tolist() == [0, 1, 0, 0]
+    assert not s.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        s.amplitudes[1] = 0.0
+    # a read-only view is copied too: its base may still be written
+    base = np.array([1.0, 0.0], dtype=np.complex128)
+    view = base[:]
+    view.setflags(write=False)
+    assert PureState(1, view).amplitudes is not view
+
+
+def test_a_read_only_owning_complex_array_is_taken_over():
+    amps = np.array([0.0, 1.0], dtype=np.complex128)
+    amps.setflags(write=False)
+    assert PureState(1, amps).amplitudes is amps
+    s = equal_superposition(3)
+    assert PureState(3, s.amplitudes).amplitudes is s.amplitudes
+    # another dtype is converted into a new array
+    real = np.array([0.0, 1.0])
+    real.setflags(write=False)
+    assert PureState(1, real).amplitudes.dtype == np.complex128
+
+
+@pytest.mark.parametrize("build", [
+    lambda: equal_superposition(16).amplitudes,
+    lambda: basis_state(16, 12345).amplitudes,
+    lambda: prepare_ansatz_state(16, LocalGateParams(0.3, 0.35, 0.78)).amplitudes,
+    lambda: make_objective("uniform", 16, 0).values,
+    lambda s=equal_superposition(16): apply_oracle(s, MarkedSet((3, 9))).amplitudes,
+    lambda s=equal_superposition(16): apply_diffusion(s).amplitudes,
+    lambda s=equal_superposition(16): grover_iterate(s, MarkedSet((3, 9)), 5).amplitudes,
+], ids=["uniform", "basis", "ansatz", "objective", "oracle", "diffusion", "iterate"])
+def test_a_library_vector_is_built_once(build):
+    # a copy on the way into the state or table would peak at twice the output;
+    # the first call also pays numpy.random's one-time set-up (about 1 MiB)
+    build()
+    tracemalloc.start()
+    try:
+        out = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 2**16 * out.itemsize and not out.flags.writeable
+    assert peak <= 1.25 * out.nbytes
 
 
 def test_norm_tolerance_is_tight():
