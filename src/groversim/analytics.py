@@ -137,7 +137,9 @@ def closed_form_average(dim: int, r: int, tau: int, fc: float) -> float:
 
     P = ((N sin^2(vartheta) - r) f_c + (r - sin^2(vartheta))) / (N - 1)
     with vartheta = theta (tau + 1/2); exact for every initial state with
-    coherence fraction f_c.
+    coherence fraction f_c. fc may be a float, giving a float, or an
+    ndarray, giving an ndarray whose every entry equals the float result for
+    that entry bit for bit.
     """
     theta = mixing_angle(dim, r)
     check_step_count(tau)

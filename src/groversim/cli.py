@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .ansatz import (
     optimal_success_vs_mixing,
     prepare_ansatz_state,
 )
-from .kernels import MAX_SUBSETS
+from .kernels import MAX_SUBSETS, average_trajectories, group_size
 from .minimize import (
     GENERATOR_KINDS,
     ObjectiveTable,
@@ -40,7 +41,6 @@ from .search import (
     ENUMERATION_CAP,
     EnumerationCapError,
     MarkedSet,
-    average_trajectory_over_all_sets,
     check_enumeration_cap,
     run_search,
 )
@@ -49,6 +49,7 @@ from .states import PureState, basis_state, check_qubit_count, equal_superpositi
 DEVIATION_THRESHOLD = 1e-10
 _FLOAT = ".17g"  # the format of every float written to a CSV file
 _CHUNK_ROWS = 4096  # curve-table rows joined into one string before it is written
+_COPY_CHARS = 1 << 16  # a spooled table body is copied into the table this much at a time
 # Encodes a flat row as json.dumps(..., indent=2) lays it out inside "rows", bar the brackets.
 _JSON_ROW = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
@@ -91,40 +92,64 @@ def _csv_line(row) -> str:
     return ",".join(map(_fmt, row)) + "\r\n"
 
 
-def _write_csv(path: Path, meta: dict, header: list[str], lines) -> None:
-    """Write the metadata prelude, the header row, then the body lines as given.
-
-    Each line goes to the file as it comes, so the whole table is never held in memory.
-    """
-    prelude = [f"# {key}={_fmt(meta[key])}\r\n" for key in sorted(meta)]
-    _atomic_write(path, itertools.chain(prelude, [_csv_line(header)], lines))
-
-
 def _write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, [json.dumps(payload, sort_keys=True, indent=2), "\n"])
 
 
-def _json_table(meta: dict, header: list[str], rows):
-    """A table's JSON file in pieces: the head, then one piece per row of scalars.
+def _table_body(fmt: str, rows):
+    """A table's body in pieces, one per row of scalars, for _table_text.
 
-    Joined, they are json.dumps({"columns": header, "meta": meta, "rows": rows},
-    sort_keys=True, indent=2) and a newline, but no more than a row is held at once.
+    A JSON body is the rows as json.dumps(..., indent=2) lays them out
+    inside "rows", closing bracket included.
     """
+    if fmt == "csv":
+        yield from map(_csv_line, rows)
+        return
+    opening = "\n    [\n      "
+    for row in rows:
+        yield opening + _JSON_ROW(list(row))[1:-1] + "\n    ]"
+        opening = ",\n    [\n      "
+    yield "\n  ]" if opening.startswith(",") else "]"
+
+
+def _table_text(fmt: str, meta: dict, header: list[str], body):
+    """A table's file in pieces: the head, made of meta and header, then the body pieces as they come.
+
+    CSV: the '# key=value' prelude, the header row, the body lines. JSON:
+    json.dumps({"columns": header, "meta": meta, "rows": rows},
+    sort_keys=True, indent=2) and a newline, with _table_body's pieces in
+    place of the rows. No more than a piece is held at once.
+    """
+    if fmt == "csv":
+        yield from (f"# {key}={_fmt(meta[key])}\r\n" for key in sorted(meta))
+        yield _csv_line(header)
+        yield from body
+        return
     head = json.dumps({"columns": header, "meta": meta}, sort_keys=True, indent=2)
     yield head[: -len("\n}")] + ',\n  "rows": ['
-    empty = True
-    for row in rows:
-        yield ("" if empty else ",") + "\n    [\n      " + _JSON_ROW(list(row))[1:-1] + "\n    ]"
-        empty = False
-    yield "]\n}\n" if empty else "\n  ]\n}\n"
+    yield from body
+    yield "\n}\n"
 
 
 def _write_table(path: Path, fmt: str, meta: dict, header: list[str], rows) -> None:
     """Write rows, an iterable of flat rows, to the file as they come, as CSV or JSON."""
-    if fmt == "csv":
-        _write_csv(path, meta, header, map(_csv_line, rows))
-    else:
-        _atomic_write(path, _json_table(meta, header, rows))
+    _atomic_write(path, _table_text(fmt, meta, header, _table_body(fmt, rows)))
+
+
+def _write_table_then_meta(path: Path, fmt: str, header: list[str], rows, meta) -> None:
+    """Write a table whose metadata is known only once its last row is: meta() gives it then.
+
+    The body goes, as the rows come, to an unnamed temporary file beside
+    path, which the system deletes however the run ends. The head, the body
+    copied back and the tail then go to path in one atomic write, so the
+    table is never held in memory and path appears whole or not at all.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=path.parent) as body:
+        body.writelines(_table_body(fmt, rows))
+        body.seek(0)
+        _atomic_write(path, _table_text(fmt, meta(), header, iter(lambda: body.read(_COPY_CHARS), "")))
 
 
 def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], axis: list, lines) -> None:
@@ -150,7 +175,7 @@ def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], axis: lis
             while chunk := [f"{head}{x},{text}\r\n" for x, text in itertools.islice(rows, _CHUNK_ROWS)]:
                 yield "".join(chunk)
 
-    _write_csv(path, meta, header, body())
+    _atomic_write(path, _table_text("csv", meta, header, body()))
 
 
 def _curve(prefix: tuple, values: list) -> tuple:
@@ -262,7 +287,13 @@ def _points(text: str) -> int:
 
 
 def _random_state(n: int, rng: np.random.Generator) -> PureState:
-    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    """Normal real parts, then normal imaginary parts, drawn from rng and normalized.
+
+    Built in the vector it returns: besides it, one part's draw is held at a time.
+    """
+    amps = np.empty(2**n, dtype=np.complex128)
+    amps.real = rng.normal(size=2**n)
+    amps.imag = rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
     return PureState(n, sealed(amps))
 
@@ -285,48 +316,61 @@ def cmd_verify_average(args) -> int:
     cells = [(n, r) for n in args.n for r in args.r if r <= 2**n]
     if not cells:
         raise ValueError(f"every --r entry exceeds N = 2**n = {2**max(args.n)} for the largest --n")
-    _check_rows(len(cells) * (2 + args.states) * (args.tau + 1), "--n, --r, --states and --tau")
+    per_cell = 2 + args.states  # the basis state, the uniform one, then the random ones
+    row_count = len(cells) * per_cell * (args.tau + 1)
+    _check_rows(row_count, "--n, --r, --states and --tau")
     for n, r in cells:
         try:
             check_enumeration_cap(2**n, r, args.cap)
         except EnumerationCapError as exc:
             raise ValueError(f"--cap {exc}") from None
 
-    def sweep_cell(cell: tuple[int, int]) -> list[tuple]:
-        n, r = cell
+    header = ["n", "r", "tau", "state_id", "state_kind", "fc", "brute", "closed", "deviation"]
+    taus = range(args.tau + 1)
+    max_dev = 0.0
+
+    def cell_rows(n: int, r: int):
+        """The cell's rows, state by state; the states are stepped in groups, each over one enumeration."""
+        nonlocal max_dev
         dim = 2**n
         rng = np.random.default_rng([args.seed, n, r])
-        randoms = (("random", _random_state(n, rng)) for _ in range(args.states))
-        states = itertools.chain([("basis", basis_state(n)), ("uniform", equal_superposition(n))], randoms)
-        rows = []
-        for state_id, (kind, psi) in enumerate(states):
-            fc = coherence_fraction(psi)
-            brute = average_trajectory_over_all_sets(psi, r, args.tau, cap=args.cap)
-            for tau in range(args.tau + 1):
-                closed = closed_form_average(dim, r, tau, fc)
-                rows.append(
-                    (n, r, tau, state_id, kind, fc, float(brute[tau]), closed,
-                     abs(float(brute[tau]) - closed))
-                )
-        return rows
+        randoms = (_random_state(n, rng) for _ in range(args.states))
+        states = itertools.chain([basis_state(n), equal_superposition(n)], randoms)
+        size = min(group_size(dim, r, args.tau), per_cell)
+        group = np.empty((size, dim), dtype=np.complex128)
+        fcs = np.empty(size)
+        for first in range(0, per_cell, size):
+            count = min(size, per_cell - first)
+            for i, psi in enumerate(itertools.islice(states, count)):
+                group[i] = psi.amplitudes
+                fcs[i] = coherence_fraction(psi)
+            brute = average_trajectories(group[:count], r, args.tau)
+            closed = np.stack([closed_form_average(dim, r, tau, fcs[:count]) for tau in taus], axis=1)
+            deviation = np.abs(brute - closed)
+            max_dev = max(max_dev, float(deviation.max()))
+            for j, fc in enumerate(fcs[:count].tolist()):
+                state_id = first + j
+                kind = ("basis", "uniform")[state_id] if state_id < 2 else "random"
+                values = zip(brute[j].tolist(), closed[j].tolist(), deviation[j].tolist())
+                for tau, (b, c, d) in zip(taus, values):
+                    yield (n, r, tau, state_id, kind, fc, b, c, d)
 
-    rows = [row for cell in cells for row in sweep_cell(cell)]
-    max_dev = max((row[-1] for row in rows), default=0.0)
+    def meta() -> dict:
+        return _meta(
+            "verify-average",
+            {
+                "n": args.n, "r": args.r, "tau": args.tau, "states": args.states,
+                "seed": args.seed, "cap": args.cap, "format": args.format,
+                "max_deviation": max_dev, "threshold": DEVIATION_THRESHOLD,
+            },
+        )
 
-    meta = _meta(
-        "verify-average",
-        {
-            "n": args.n, "r": args.r, "tau": args.tau, "states": args.states,
-            "seed": args.seed, "cap": args.cap, "format": args.format,
-            "max_deviation": max_dev, "threshold": DEVIATION_THRESHOLD,
-        },
-    )
-    header = ["n", "r", "tau", "state_id", "state_kind", "fc", "brute", "closed", "deviation"]
-    _write_table(Path(args.out), args.format, meta, header, rows)
+    rows = (row for cell in cells for row in cell_rows(*cell))
+    _write_table_then_meta(Path(args.out), args.format, header, rows, meta)
 
     ok = max_dev <= DEVIATION_THRESHOLD
     print(
-        f"verify-average: {len(rows)} rows, max deviation {max_dev:.3e} "
+        f"verify-average: {row_count} rows, max deviation {max_dev:.3e} "
         f"(threshold {DEVIATION_THRESHOLD:.0e}) -> {'ok' if ok else 'FAIL'}"
     )
     return 0 if ok else 1

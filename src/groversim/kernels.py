@@ -23,6 +23,15 @@ workspace does not grow with C(N, r). Each chunk is summed with np.sum and
 the chunk subtotals are added exactly (math.fsum), so the subset average is
 run-to-run deterministic.
 
+A group of S states shares one enumeration (average_trajectories): each
+chunk's index block is decoded once and gathered from the states in
+(s, r, k) batches of at most _CHUNK_ELEMENTS marked amplitudes (one state
+when a block alone fills that), into buffers that every batch and step of
+the block reuses. Every state still sums its own C-contiguous (r, k) slice
+of each chunk and adds its own chunk subtotals, so a state's average does
+not depend on the group it came in; a single state is a group of one.
+group_size says how many states to pass at once.
+
 A chunk's (r, k) index block is built with numpy by unranking, not by
 iterating: lexicographic rank j of an r-subset is colex rank C(N, r)-1-j of
 its mirror {N-1-x}, and colex rank m decodes one element per level, the
@@ -124,6 +133,19 @@ def _binomial_tables(width: int, levels: int) -> list[np.ndarray]:
     return tables
 
 
+def _enumerable_count(dim: int, r: int) -> int:
+    """C(dim, r); ValueError when int64 ranks cannot enumerate that many subsets."""
+    count = subset_count(dim, r)
+    if count is None:
+        raise ValueError(f"C({dim}, {r}) is more subsets than int64 ranks can enumerate")
+    return count
+
+
+def _block_width(r: int) -> int:
+    """Subsets per index block: as many as fill _CHUNK_ELEMENTS marked amplitudes, at least one."""
+    return max(1, _CHUNK_ELEMENTS // r)
+
+
 def _index_blocks(dim: int, r: int, start: int = 0, stop: int | None = None):
     """Yield the r-subsets of range(dim) of lexicographic rank start..stop-1 as index blocks.
 
@@ -132,14 +154,12 @@ def _index_blocks(dim: int, r: int, start: int = 0, stop: int | None = None):
     max(1, _CHUNK_ELEMENTS // r) subsets, the last one fewer. stop defaults
     to C(dim, r), which must not exceed MAX_SUBSETS.
     """
-    count = subset_count(dim, r)
-    if count is None:
-        raise ValueError(f"C({dim}, {r}) is more subsets than int64 ranks can enumerate")
+    count = _enumerable_count(dim, r)
     stop = count if stop is None else stop
     levels = min(r, dim - r)                             # decode the subset or its complement
     tables = _binomial_tables(dim - levels + 1, levels)
     ith = np.arange(r, dtype=np.intp)[:, None]
-    rows = max(1, _CHUNK_ELEMENTS // r)
+    rows = _block_width(r)
     for first in range(start, stop, rows):
         last = min(first + rows, stop)
         if levels == r:
@@ -174,30 +194,79 @@ def _fill_around(missing: np.ndarray, ith: np.ndarray) -> np.ndarray:
     return out
 
 
+def group_size(dim: int, r: int, tau_max: int) -> int:
+    """How many states average_trajectories should take at once, at least one.
+
+    A group's amplitudes fill at most _CHUNK_ELEMENTS, and so do its chunk
+    sums: one per state, step count and index block. C(dim, r) must not
+    exceed MAX_SUBSETS.
+    """
+    blocks = -(-_enumerable_count(dim, r) // _block_width(r))
+    return max(1, _CHUNK_ELEMENTS // max(dim, blocks * (tau_max + 1)))
+
+
+def average_trajectories(group, r: int, tau_max: int) -> np.ndarray:
+    """Success mass after 0..tau_max steps, averaged over every r-subset, for each state of a group.
+
+    group is an (S, dim) array of amplitude vectors, one state per row, and
+    row i of the (S, tau_max + 1) result is state i's average trajectory,
+    bit for bit what average_trajectory gives for that state alone.
+    Enumerates all C(dim, r) marked sets once for the whole group; callers
+    are responsible for capping the enumeration size before invoking this,
+    and a count above MAX_SUBSETS raises ValueError. Each subset is stepped
+    on its r marked amplitudes and the running total of all amplitudes,
+    which is everything the next marked amplitudes depend on.
+    """
+    group = np.asarray(group, dtype=np.complex128)
+    states, dim = group.shape
+    count = _enumerable_count(dim, r)
+    start_totals = group.sum(axis=1)
+    blocks = -(-count // _block_width(r))
+    sums = np.empty((states, tau_max + 1, blocks))
+    for b, block in enumerate(_index_blocks(dim, r)):
+        _step_block(group, start_totals, block, sums[:, :, b])
+    cells = sums.reshape(states * (tau_max + 1), blocks)  # one row of chunk sums per state and step
+    totals = np.fromiter(map(math.fsum, cells), np.float64, count=cells.shape[0])
+    return totals.reshape(states, tau_max + 1) / count
+
+
+def _step_block(group: np.ndarray, start_totals: np.ndarray, block: np.ndarray, sums: np.ndarray) -> None:
+    """Step every state's copy of the block's subsets; sums[i, t] is state i's marked mass after t steps.
+
+    The states go in batches of at most _CHUNK_ELEMENTS marked amplitudes,
+    at least one state, through buffers that serve every batch and step of
+    the block and are freed before the next block is decoded.
+    """
+    states, dim = group.shape
+    r, k = block.shape
+    batch = max(1, min(states, _CHUNK_ELEMENTS // (r * k)))
+    marked_buf = np.empty(batch * r * k, dtype=np.complex128)
+    square_buf = np.empty(batch * r * k, dtype=np.complex128)
+    total_buf = np.empty(batch * k, dtype=np.complex128)
+    for lo in range(0, states, batch):
+        s = min(batch, states - lo)
+        marked = marked_buf[: s * r * k].reshape(s, r, k)  # one C-contiguous (r, k) slice per state
+        np.take(group[lo : lo + s], block, axis=1, out=marked, mode="clip")
+        parts = marked.reshape(s, r * k).view(np.float64)  # real and imaginary parts
+        squares = square_buf[: s * r * k].view(np.float64).reshape(s, 2 * r * k)
+        step = square_buf[: s * k].reshape(s, k)         # the squares' buffer, idle while a step runs
+        total = total_buf[: s * k].reshape(s, k)
+        total[...] = start_totals[lo : lo + s, None]
+        np.square(parts, out=squares)
+        np.sum(squares, axis=1, out=sums[lo : lo + s, 0])
+        for t in range(1, sums.shape[1]):
+            np.sum(marked, axis=1, out=step)
+            np.multiply(2.0, step, out=step)
+            total -= step
+            np.multiply(2.0 / dim, total, out=step)
+            marked += step[:, None, :]
+            np.square(parts, out=squares)
+            np.sum(squares, axis=1, out=sums[lo : lo + s, t])
+
+
 def average_trajectory(amps: np.ndarray, r: int, tau_max: int) -> np.ndarray:
     """Success mass after 0..tau_max steps, averaged over every r-subset.
 
-    Enumerates all C(dim, r) marked sets; callers are responsible for
-    capping the enumeration size before invoking this, and a count above
-    MAX_SUBSETS raises ValueError. Each subset is
-    stepped on its r marked amplitudes and the running total of all
-    amplitudes, which is everything the next marked amplitudes depend on.
+    The one-state call of average_trajectories, under the same terms.
     """
-    amps = np.asarray(amps, dtype=np.complex128)
-    dim = amps.shape[0]
-    count = 0
-    start_total = amps.sum()
-    partials: list[list[float]] = [[] for _ in range(tau_max + 1)]
-    for block in _index_blocks(dim, r):
-        marked = amps[block]                             # (r, k): one column per subset
-        k = marked.shape[1]
-        count += k
-        parts = marked.view(np.float64)                  # real and imaginary parts
-        total = np.full(k, start_total)
-        partials[0].append(float(np.sum(parts * parts)))
-        for t in range(1, tau_max + 1):
-            total -= 2.0 * marked.sum(axis=0)
-            marked += (2.0 / dim) * total
-            partials[t].append(float(np.sum(parts * parts)))
-    out = np.array([math.fsum(p) for p in partials], dtype=np.float64)
-    return out / count
+    return average_trajectories(np.asarray(amps, dtype=np.complex128)[None], r, tau_max)[0]

@@ -69,7 +69,7 @@ class ObjectiveTable:
         vals = frozen_array(self.values, np.float64)
         if vals.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} values for n={self.n}, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not (np.isfinite(vals.min()) and np.isfinite(vals.max())):  # min and max carry any nan or inf
             raise ValueError("objective values must all be finite")
         object.__setattr__(self, "values", vals)
 
@@ -84,7 +84,10 @@ class ObjectiveTable:
 
     @classmethod
     def from_values(cls, values) -> "ObjectiveTable":
-        vals = np.asarray(values, dtype=np.float64)
+        """The table of values, any 1-d sequence of 2**n reals; a caller's ndarray is never written."""
+        vals = np.array(values, dtype=np.float64, copy=None if isinstance(values, np.ndarray) else True)
+        if vals is not values and vals.flags.owndata:
+            sealed(vals)                                 # an array of our own: the table takes it over
         if vals.ndim != 1:
             raise ValueError(f"objective values must form a 1-d sequence, got shape {vals.shape}")
         n = vals.shape[0].bit_length() - 1

@@ -126,6 +126,14 @@ def test_optimal_average_takes_an_array_with_the_scalar_check_and_clamp():
             optimal_average(32, 3, np.array([0.5, bad, 0.25]))
 
 
+def test_closed_form_takes_an_array_bit_for_bit():
+    fcs = np.array([0.0, 1 / 32, 0.3, 1.0, 1.0 + 5e-13])
+    for tau in (0, 1, 4, 30):
+        values = closed_form_average(32, 3, tau, fcs)
+        assert isinstance(values, np.ndarray)
+        assert values.tolist() == [closed_form_average(32, 3, tau, float(fc)) for fc in fcs]
+
+
 def test_fraction_up_to_the_normalization_tolerance_counts_as_one():
     # PureState and StateMixture accept a norm or weight sum up to 1 + 1e-10,
     # so f_c can exceed 1 by as much; the closed forms must take such states

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import groversim
-from groversim import cli, optimal_average, optimal_success_vs_mixing, optimal_success_vs_phases
+from groversim import cli, kernels, optimal_average, optimal_success_vs_mixing, optimal_success_vs_phases
 from groversim.cli import build_parser, main
 
 
@@ -430,21 +430,21 @@ def test_oversized_verify_tables_are_refused_before_any_cell(tmp_path, capsys, m
     # 1 cell x (2 + 2 states) x 3 step counts = 12 rows, over a cap of 11.
     monkeypatch.setattr(cli, "ENUMERATION_CAP", 11)
     ran = []
-    monkeypatch.setattr(cli, "average_trajectory_over_all_sets", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(cli, "average_trajectories", lambda *a, **k: ran.append(a))
     argv = ["verify-average", "--n", "2", "--r", "1", "--tau", "2", "--out", str(tmp_path / "v.csv")]
     assert main(argv + ["--states", "2"]) == 2
     assert capsys.readouterr().err.startswith(
         "error: --n, --r, --states and --tau would make a table of 12 rows, more than the cap of 11")
     assert ran == [] and list(tmp_path.iterdir()) == []
     monkeypatch.setattr(cli, "ENUMERATION_CAP", 12)
-    monkeypatch.setattr(cli, "average_trajectory_over_all_sets", groversim.average_trajectory_over_all_sets)
+    monkeypatch.setattr(cli, "average_trajectories", kernels.average_trajectories)
     assert main(argv + ["--states", "2"]) == 0
     assert len(read_csv(tmp_path / "v.csv")[2]) == 12
 
 
 def test_verify_checks_the_cap_of_every_cell_before_the_first(tmp_path, capsys, monkeypatch):
     ran = []
-    monkeypatch.setattr(cli, "average_trajectory_over_all_sets", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(cli, "average_trajectories", lambda *a, **k: ran.append(a))
     assert main(["verify-average", "--n", "4", "--r", "1,2", "--cap", "100", "--states", "0",
                  "--tau", "1", "--out", str(tmp_path / "v.csv")]) == 2
     assert capsys.readouterr().err == "error: --cap C(16, 2) = 120 subsets exceeds the enumeration cap 100\n"
@@ -506,6 +506,70 @@ def test_json_tables_are_written_row_by_row(tmp_path):
         tracemalloc.stop()
     assert peak < 2**20
     assert len(json.loads((tmp_path / "t.json").read_text())["rows"]) == 200_000
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_tables_are_written_row_by_row(tmp_path, monkeypatch, fmt):
+    # holding every row, 2 * 10^4 states peaked at 4.7 MiB traced; groups of
+    # 2048 states keep the stepping workspace far below that
+    import tracemalloc
+
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 4096)
+    argv = ["verify-average", "--n", "1", "--r", "1", "--tau", "0", "--format", fmt, "--out", str(tmp_path / "v")]
+    assert main(argv + ["--states", "1"]) == 0  # numpy.random's one-time set-up, about 1 MiB
+    for states in (2000, 20000):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--states", str(states)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{states} states"
+    assert [p.name for p in tmp_path.iterdir()] == ["v"]
+    if fmt == "json":
+        assert len(json.loads((tmp_path / "v").read_text())["rows"]) == 20002
+    else:
+        assert len(read_csv(tmp_path / "v")[2]) == 20002
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failed_sweep_leaves_neither_table_nor_body(tmp_path, monkeypatch, fmt):
+    seen = []
+
+    def fail_on_the_second_cell(group, r, tau_max):
+        if group.shape[1] == 4:
+            seen.append([p.name for p in tmp_path.iterdir()])
+            raise RuntimeError("stopped mid-sweep")
+        return kernels.average_trajectories(group, r, tau_max)
+
+    monkeypatch.setattr(cli, "average_trajectories", fail_on_the_second_cell)
+    with pytest.raises(RuntimeError, match="stopped mid-sweep"):
+        main(["verify-average", "--n", "1,2", "--r", "1", "--tau", "1", "--states", "3",
+              "--format", fmt, "--out", str(tmp_path / "v")])
+    # the first cell's rows were written to a body file that no name points to
+    assert seen == [[]] and list(tmp_path.iterdir()) == []
+
+
+def test_a_random_state_is_drawn_into_its_own_vector():
+    # each draw holds half a vector, one at a time, beside a few hundred bytes
+    # of array and state objects; adding two drawn arrays peaked at 2.13 vectors
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    cli._random_state(16, rng)  # numpy.random's one-time set-up
+    tracemalloc.start()
+    try:
+        psi = cli._random_state(16, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * psi.amplitudes.nbytes + 1024
+    # the same draws, in the same order, as the sum of the two parts
+    for n in (1, 3, 10):
+        old, new = np.random.default_rng([7, n]), np.random.default_rng([7, n])
+        amps = old.normal(size=2**n) + 1j * old.normal(size=2**n)
+        amps /= np.linalg.norm(amps)
+        np.testing.assert_array_equal(cli._random_state(n, new).amplitudes, amps)
 
 
 def test_ansatz_grid_body_is_the_public_plane_cell_by_cell(tmp_path):

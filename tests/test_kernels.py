@@ -216,6 +216,51 @@ def test_average_is_bit_identical_to_the_itertools_kernel(rng, monkeypatch, chun
             )
 
 
+def _group_cells(most):
+    """(n, r, tau): n = 1..10, r = 1..4, N-1 and N with at most `most` subsets, and r = 15 at n = 4.
+
+    r = 15 at n = 4 decodes the one missing index of each subset; tau runs
+    to 30 on the cells of up to 64 subsets.
+    """
+    cells = {(4, 15)}
+    for n in range(1, 11):
+        dim = 2**n
+        cells.update((n, r) for r in (1, 2, 3, 4, dim - 1, dim) if 1 <= r <= dim and math.comb(dim, r) <= most)
+    return [(n, r, 30 if math.comb(2**n, r) <= 64 else 4) for n, r in sorted(cells)]
+
+
+@pytest.mark.parametrize("chunk", [7, kernels._CHUNK_ELEMENTS])
+def test_a_group_steps_each_state_as_it_would_alone_bit_for_bit(rng, monkeypatch, chunk):
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", chunk)
+    for n, r, tau in _group_cells(300 if chunk < 4096 else 10_000):
+        states = [basis_state(n, 2**n - 1).amplitudes] + [random_state(n, rng).amplitudes for _ in range(2)]
+        alone = np.array([kernels.average_trajectory(amps, r, tau) for amps in states])
+        for amps, got in zip(states, alone):
+            np.testing.assert_array_equal(got, _itertools_average_trajectory(amps, r, tau),
+                                          err_msg=f"n={n} r={r} tau={tau} chunk={chunk}")
+        for size in (1, 2, 3):
+            np.testing.assert_array_equal(kernels.average_trajectories(np.array(states[:size]), r, tau),
+                                          alone[:size], err_msg=f"{size} states, n={n} r={r} chunk={chunk}")
+    # a group of one state more than fills a batch of _CHUNK_ELEMENTS marked amplitudes
+    n, r, tau = 5, 2, 6
+    width = min(math.comb(2**n, r), chunk // r)
+    states = np.array([random_state(n, rng).amplitudes for _ in range(chunk // (r * width) + 1)])
+    assert len(states) * r * width > chunk
+    np.testing.assert_array_equal(kernels.average_trajectories(states, r, tau),
+                                  [_itertools_average_trajectory(amps, r, tau) for amps in states])
+
+
+@pytest.mark.parametrize("dim, r, tau, size", [
+    (2, 1, 0, kernels._CHUNK_ELEMENTS // 2),        # the amplitudes fill the group
+    (64, 3, 8, kernels._CHUNK_ELEMENTS // 64),      # C(64, 3) takes two index blocks
+    (64, 3, 4095, 8),                               # the chunk sums fill the group
+    (2**16, 1, 3, 1),
+    (2**20, 1, 3, 1),
+])
+def test_group_size_bounds_amplitudes_and_chunk_sums(dim, r, tau, size):
+    assert kernels.group_size(dim, r, tau) == size
+
+
 def test_average_workspace_is_bounded_at_r_2(rng, monkeypatch):
     # r = 2 decodes through the longest binomial table, N - 1 entries; the
     # C(2048, 2) subsets come in chunks of 2048

@@ -63,6 +63,21 @@ def test_table_argmin_set_includes_ties():
     assert t.argmin_set() == (1, 2)
 
 
+def test_a_table_from_a_list_is_built_once():
+    values = [float(i % 97) for i in range(2**16)]
+    tracemalloc.start()
+    try:
+        table = ObjectiveTable.from_values(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * table.values.nbytes
+    assert not table.values.flags.writeable
+    # a caller's float64 array is still copied, and stays writeable
+    mine = np.array(values)
+    assert ObjectiveTable.from_values(mine).values is not mine and mine.flags.writeable
+
+
 def test_table_csv_round_trip(tmp_path):
     p = tmp_path / "obj.csv"
     p.write_text("index,value\n0,3.5\n1,-1.25\n2,0\n3,7\n")
