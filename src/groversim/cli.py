@@ -5,7 +5,8 @@ with the same arguments, get byte-identical files. CSV files carry a
 '# key=value' metadata prelude, then a header row and CRLF-terminated
 body lines. Every field is a number or a bare word, so no field needs
 RFC-4180 quoting; floats carry 17 significant digits. JSON files carry
-the same metadata under "meta". Writes are atomic (temp file + rename).
+the same metadata under "meta", and each float as its shortest repr, as
+json.dumps writes it. Writes are atomic (temp file + rename).
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import namedtuple
 from dataclasses import asdict
 from pathlib import Path
 
@@ -47,18 +49,16 @@ from .search import (
 from .states import PureState, basis_state, check_qubit_count, equal_superposition, sealed
 
 DEVIATION_THRESHOLD = 1e-10
-_FLOAT = ".17g"  # the format of every float written to a CSV file
-_CHUNK_ROWS = 4096  # curve-table rows joined into one string before it is written
+_FLOAT = "{:.17g}".format  # the text of every float written to a CSV file
+_CHUNK_ROWS = 1024  # table rows joined into one string before it is written
 _COPY_CHARS = 1 << 16  # a spooled table body is copied into the table this much at a time
-# Encodes a flat row as json.dumps(..., indent=2) lays it out inside "rows", bar the brackets.
-_JSON_ROW = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, _FLOAT)
+        return _FLOAT(value)
     if value is None:
         return "none"
     if isinstance(value, (list, tuple)):
@@ -88,28 +88,41 @@ def _atomic_write(path: Path, chunks) -> None:
         raise
 
 
-def _csv_line(row) -> str:
-    return ",".join(map(_fmt, row)) + "\r\n"
+def _json_cell(value) -> str:
+    """json.dumps(value) for one scalar; a finite float or an int is spelled without the encoder."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return int.__repr__(value) if type(value) is int else json.dumps(value)
+
+
+# Per format: cell text, float cell text, cell separator, row joiner, and the text before the first
+# row, after the last and for none; JSON as json.dumps(..., indent=2) lays out "rows" bar its "[".
+_Layout = namedtuple("_Layout", "cell real sep join start end empty")
+_LAYOUTS = {
+    "csv": _Layout(_fmt, _FLOAT, ",", "\r\n", "", "\r\n", ""),
+    "json": _Layout(_json_cell, float.__repr__, ",\n      ", "\n    ],\n    [\n      ",
+                    "\n    [\n      ", "\n    ]\n  ]", "]"),
+}
 
 
 def _write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, [json.dumps(payload, sort_keys=True, indent=2), "\n"])
 
 
-def _table_body(fmt: str, rows):
-    """A table's body in pieces, one per row of scalars, for _table_text.
+def _body(layout: _Layout, chunks):
+    """A table's body in pieces, for _table_text: chunks, lists of row texts, joined and framed by layout."""
+    opening = layout.start
+    for chunk in chunks:
+        yield opening + layout.join.join(chunk)
+        opening = layout.join
+    yield layout.empty if opening is layout.start else layout.end
 
-    A JSON body is the rows as json.dumps(..., indent=2) lays them out
-    inside "rows", closing bracket included.
-    """
-    if fmt == "csv":
-        yield from map(_csv_line, rows)
-        return
-    opening = "\n    [\n      "
-    for row in rows:
-        yield opening + _JSON_ROW(list(row))[1:-1] + "\n    ]"
-        opening = ",\n    [\n      "
-    yield "\n  ]" if opening.startswith(",") else "]"
+
+def _table_body(fmt: str, rows):
+    """The body of rows, an iterable of flat rows of scalars, _CHUNK_ROWS rows to a chunk."""
+    layout = _LAYOUTS[fmt]
+    texts = (layout.sep.join(map(layout.cell, row)) for row in rows)
+    return _body(layout, iter(lambda: list(itertools.islice(texts, _CHUNK_ROWS)), []))
 
 
 def _table_text(fmt: str, meta: dict, header: list[str], body):
@@ -117,12 +130,12 @@ def _table_text(fmt: str, meta: dict, header: list[str], body):
 
     CSV: the '# key=value' prelude, the header row, the body lines. JSON:
     json.dumps({"columns": header, "meta": meta, "rows": rows},
-    sort_keys=True, indent=2) and a newline, with _table_body's pieces in
+    sort_keys=True, indent=2) and a newline, with the body pieces in
     place of the rows. No more than a piece is held at once.
     """
     if fmt == "csv":
         yield from (f"# {key}={_fmt(meta[key])}\r\n" for key in sorted(meta))
-        yield _csv_line(header)
+        yield ",".join(header) + "\r\n"
         yield from body
         return
     head = json.dumps({"columns": header, "meta": meta}, sort_keys=True, indent=2)
@@ -155,32 +168,23 @@ def _write_table_then_meta(path: Path, fmt: str, header: list[str], rows, meta) 
 def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], axis: list, lines) -> None:
     """Write the rows (*prefix, x, value) of a curve table, x running along axis.
 
-    Each line is (prefix, texts): its values in axis order, each formatted
-    with _FLOAT by the caller, so a table whose values repeat (the phase
-    plane) can format each distinct value once. 17 significant digits make
-    float(text) the value itself, which is what the JSON form holds. A
-    curve table is a product of axes, so each axis value and each prefix is
-    formatted once per table, not once per row.
+    Each line is (prefix, texts): its values in axis order, each spelled by
+    the caller with the format's _LAYOUTS[fmt].real, so a table whose values
+    repeat (the phase plane) can spell each distinct value once. A curve
+    table is a product of axes, so each axis value and each prefix is
+    spelled once per table, not once per row.
     """
-    if fmt != "csv":
-        rows = ((*prefix, x, float(text)) for prefix, texts in lines for x, text in zip(axis, texts))
-        _write_table(path, fmt, meta, header, rows)
-        return
-    cells = [_fmt(x) for x in axis]
+    layout = _LAYOUTS[fmt]
+    cells = [layout.cell(x) + layout.sep for x in axis]
 
-    def body():
+    def chunks():
         for prefix, texts in lines:
-            head = "".join(_fmt(v) + "," for v in prefix)
+            head = "".join(layout.cell(v) + layout.sep for v in prefix)
             rows = zip(cells, texts)
-            while chunk := [f"{head}{x},{text}\r\n" for x, text in itertools.islice(rows, _CHUNK_ROWS)]:
-                yield "".join(chunk)
+            while chunk := [f"{head}{x}{text}" for x, text in itertools.islice(rows, _CHUNK_ROWS)]:
+                yield chunk
 
-    _atomic_write(path, _table_text("csv", meta, header, body()))
-
-
-def _curve(prefix: tuple, values: list) -> tuple:
-    """One line of _write_curves, its values formatted as the file takes them."""
-    return prefix, map(format, values, itertools.repeat(_FLOAT))
+    _atomic_write(path, _table_text(fmt, meta, header, _body(layout, chunks())))
 
 
 def _meta(command: str, params: dict) -> dict:
@@ -391,9 +395,10 @@ def cmd_optimal_curves(args) -> int:
         "optimal-curves",
         {"n": args.n, "r": args.r, "fc_grid": args.fc_grid, "format": args.format},
     )
+    real = _LAYOUTS[args.format].real
     _write_curves(
         Path(args.out), args.format, meta, ["r", "fc", "p_opt"], fc_grid.tolist(),
-        (_curve((r,), optimal_average(dim, r, fc_grid).tolist()) for r in args.r),
+        (((r,), map(real, optimal_average(dim, r, fc_grid).tolist())) for r in args.r),
     )
     print(f"optimal-curves: wrote {rows} rows for N={dim}, r in {args.r}")
     return 0
@@ -406,22 +411,22 @@ def cmd_ansatz_grid(args) -> int:
     phase_axis = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False).tolist()
     theta_axis = np.linspace(0.0, math.pi / 2.0, args.points).tolist()
 
-    suffix = "csv" if args.format == "csv" else "json"
     base = Path(args.out)
-    phases_path = base.with_name(base.name + f"_phases.{suffix}")
-    mixing_path = base.with_name(base.name + f"_mixing.{suffix}")
+    phases_path = base.with_name(base.name + f"_phases.{args.format}")
+    mixing_path = base.with_name(base.name + f"_mixing.{args.format}")
     common = {"points": args.points, "format": args.format}
+    real = _LAYOUTS[args.format].real
     _write_curves(
         phases_path, args.format,
         _meta("ansatz-grid", {**common, "block": "phases", "n": args.n}),
         ["n", "alpha", "beta", "p"], phase_axis,
-        zip(((args.n, alpha) for alpha in phase_axis), _phase_plane_rows(args.n, phase_axis, _fmt)),
+        zip(((args.n, alpha) for alpha in phase_axis), _phase_plane_rows(args.n, phase_axis, real)),
     )
     _write_curves(
         mixing_path, args.format,
         _meta("ansatz-grid", {**common, "block": "mixing", "n": args.mixing_n}),
         ["n", "theta", "p"], theta_axis,
-        (_curve((n,), [optimal_success_vs_mixing(n, t) for t in theta_axis]) for n in args.mixing_n),
+        (((n,), [real(optimal_success_vs_mixing(n, t)) for t in theta_axis]) for n in args.mixing_n),
     )
     print(
         f"ansatz-grid: wrote {args.points**2} phase rows to {phases_path.name}, "
@@ -486,7 +491,7 @@ def cmd_minimize(args) -> int:
             **objective_meta,
             "n": table.n, "seeds": args.seeds, "growth": schedule.growth,
             "initial_reach": schedule.initial_reach, "budget": schedule.max_oracle_calls,
-            "initial": state_meta["initial"],
+            **state_meta,
         },
     )
     payload = {

@@ -183,6 +183,23 @@ def test_minimize_seeds_share_a_start_but_no_state(tmp_path, start):
     assert reports("1,2,3") == reports("1") + reports("2") + reports("3")
 
 
+def test_minimize_reruns_from_the_meta_it_writes(tmp_path):
+    # the ansatz angles are in the meta, so the file alone says how to run it again
+    start = ["--alpha", "0.3", "--beta", "1.1", "--theta", "0.6"]
+    assert main(["minimize", "--objective-n", "6", "--seeds", "0,1,2,3", "--budget", "60", *start,
+                 "--out", str(tmp_path / "first")]) == 0
+    first = json.loads((tmp_path / "first.json").read_text())
+    meta = first["meta"]
+    assert [meta[key] for key in ("initial", "alpha", "beta", "theta")] == ["ansatz", 0.3, 1.1, 0.6]
+    argv = ["minimize", "--generator", meta["objective"].removeprefix("generator:")]
+    for key, value in meta.items():
+        if key not in {"tool", "version", "command", "objective", "initial", "n"}:
+            text = ",".join(map(str, value)) if isinstance(value, list) else repr(value)
+            argv += [f"--{key.replace('_', '-')}", text]
+    assert main(argv + ["--out", str(tmp_path / "again")]) == 0
+    assert json.loads((tmp_path / "again.json").read_text()) == first
+
+
 def test_minimize_reads_objective_files(tmp_path):
     obj = tmp_path / "obj.csv"
     obj.write_text("index,value\n0,4\n1,9\n2,-2\n3,6\n")
@@ -484,10 +501,11 @@ def test_largest_tables_within_the_cap_are_accepted():
     [],
     [(1, 2, 0.5, "basis", True, None, 1e-17)],
     [(n, -n * 0.1, float(n) / 3, "uniform", n % 2 == 0) for n in range(50)],
+    [(5e-324, 1e-310, -0.0, 1e16, 1e17, 1e22, math.nan, math.inf, -math.inf, 'say "hi"', "naïve ψ")],
 ])
 def test_json_tables_stream_the_layout_of_one_dumps(tmp_path, rows):
     meta = {"tool": "groversim", "n": [1, 2], "format": "json", "threshold": 1e-10}
-    header = ["a", "b", "c", "d", "e", "f", "g"][: len(rows[0]) if rows else 3]
+    header = list("abcdefghijk")[: len(rows[0]) if rows else 3]
     cli._write_table(tmp_path / "t.json", "json", meta, header, iter(rows))
     assert (tmp_path / "t.json").read_text() == json.dumps(
         {"meta": meta, "columns": header, "rows": [list(row) for row in rows]}, sort_keys=True, indent=2) + "\n"
@@ -506,6 +524,43 @@ def test_json_tables_are_written_row_by_row(tmp_path):
         tracemalloc.stop()
     assert peak < 2**20
     assert len(json.loads((tmp_path / "t.json").read_text())["rows"]) == 200_000
+
+
+def test_json_curve_tables_build_no_encoder_per_row(tmp_path, monkeypatch):
+    # one JSONEncoder.encode per row made JSON tables about 10x slower than CSV
+    calls = []
+
+    def counted(function):
+        def wrapper(*args, **kwargs):
+            calls.append(function.__name__)
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli.json, "dumps", counted(json.dumps))
+    for name in ("encode", "iterencode"):
+        monkeypatch.setattr(json.JSONEncoder, name, counted(getattr(json.JSONEncoder, name)))
+    counts = []
+    for points in (10, 10_000):
+        calls.clear()
+        out = tmp_path / f"c{points}.json"
+        assert main(["optimal-curves", "--n", "6", "--r", "1,3", "--fc-grid", f"0:1:{points}",
+                     "--format", "json", "--out", str(out)]) == 0
+        counts.append(len(calls))
+    assert len(json.loads(out.read_text())["rows"]) == 20_000
+    assert counts[0] == counts[1] > 0
+
+
+def test_json_and_csv_curve_tables_hold_the_same_numbers(tmp_path):
+    # a JSON float is repr(x); a CSV float has 17 digits, so float() of it is x again
+    for fmt in ("csv", "json"):
+        assert main(["ansatz-grid", "--n", "12", "--points", "301", "--format", fmt,
+                     "--out", str(tmp_path / "g")]) == 0
+    for block, rows in (("phases", 301**2), ("mixing", 3 * 301)):
+        _, header, csv_rows = read_csv(tmp_path / f"g_{block}.csv")
+        table = json.loads((tmp_path / f"g_{block}.json").read_text())
+        assert table["columns"] == header and len(table["rows"]) == rows
+        for json_row, csv_row in zip(table["rows"], csv_rows):
+            assert json_row == [int(csv_row[0]), *map(float, csv_row[1:])], csv_row
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -2,7 +2,8 @@
 
 A change that moves any output byte shows up here as an explicit diff
 against tests/golden/<case>/. To record new outputs on purpose, run
-`PYTHONPATH=src python tests/test_golden.py` and review the diff.
+`PYTHONPATH=src python tests/test_golden.py CASE ...` and review the diff;
+with no CASE it records every case.
 
 Every case runs with tests/golden/inputs/ as the working directory, so an
 input file is named relative to it: the metadata records the name as given.
@@ -154,8 +155,11 @@ def test_every_output_form_has_a_golden_case():
 
 
 if __name__ == "__main__":
+    unknown = sorted(set(sys.argv[1:]) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
     os.chdir(INPUTS)
-    for case in sorted(CASES):
+    for case in sorted(sys.argv[1:] or CASES):
         target = GOLDEN / case
         target.mkdir(parents=True, exist_ok=True)
         _run_case(case, target)
