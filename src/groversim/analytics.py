@@ -194,12 +194,15 @@ def rewritten_optimal_average(dim: int, r: int, rho: SmallDensityMatrix) -> floa
     For a density matrix with non-negative entries the off-diagonal sum
     equals the l1 coherence, giving
     P = (N - r)/(N(N - 1)) * (1 + C_l1(rho)) + (r - 1)/(N - 1).
-    Only valid when every entry of rho is non-negative.
+    Only valid when every entry of rho is non-negative, so a rho with an
+    entry below -1e-10 or an imaginary part beyond 1e-10 raises ValueError.
     """
-    _check_geometry(dim, r)
     if rho.dimension != dim:
         raise ValueError(f"density matrix dimension {rho.dimension} does not match {dim}")
-    return (dim - r) / (dim * (dim - 1)) * (1.0 + l1_coherence(rho)) + (r - 1) / (dim - 1)
+    m = rho.matrix
+    if (m.real < -_PSD_ATOL).any() or (np.abs(m.imag) > _PSD_ATOL).any():
+        raise ValueError("the rewritten optimum needs a density matrix with real, non-negative entries")
+    return optimal_average(dim, r, (1.0 + l1_coherence(rho)) / dim)
 
 
 def _two_qubit_product_plus_zero() -> PureState:

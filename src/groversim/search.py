@@ -79,6 +79,17 @@ def _index_array(values) -> np.ndarray:
     return np.array([check_integer(i, "marked index") for i in values], dtype=object)
 
 
+def success_mass(state: PureState, marked) -> float:
+    """Probability on a MarkedSet's or a sequence's indices, checked as MarkedSet does; 0.0 for none."""
+    indices = getattr(marked, "indices", marked)
+    if not len(indices):
+        return 0.0
+    marked = MarkedSet(indices)
+    marked.validate_for(state.dimension)
+    picked = state.amplitudes[list(marked.indices)]
+    return float(np.real(np.vdot(picked, picked)))
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Problem geometry: dimension N = 2**n, marked count r, step count tau.

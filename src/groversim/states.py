@@ -180,17 +180,3 @@ def fidelity_with(state: PureState, reference: PureState) -> float:
         )
     return float(abs(np.vdot(reference.amplitudes, state.amplitudes)) ** 2)
 
-
-def success_mass(state: PureState, marked) -> float:
-    """Total probability carried by the marked basis indices.
-
-    `marked` is anything with an `indices` attribute or a plain sequence
-    of ints. Out-of-range indices raise ValueError.
-    """
-    idx = np.asarray(getattr(marked, "indices", marked), dtype=np.intp)
-    if idx.size == 0:
-        return 0.0
-    if idx.min() < 0 or idx.max() >= state.dimension:
-        raise ValueError(f"marked index out of range for dimension {state.dimension}")
-    picked = state.amplitudes[idx]
-    return float(np.real(np.vdot(picked, picked)))

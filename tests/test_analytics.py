@@ -257,6 +257,16 @@ def test_rewritten_optimum_checks_dimensions(rng):
         rewritten_optimal_average(8, 1, rho)
 
 
+@pytest.mark.parametrize("matrix", [
+    np.array([[0.5, -0.5], [-0.5, 0.5]]),                # |-><-|, where the direct optimum is 0.0
+    np.array([[1 / 3, -1j / 3], [1j / 3, 2 / 3]]),      # the counterexample's coherent qubit
+])
+def test_rewritten_optimum_refuses_entries_outside_its_domain(matrix):
+    rho = SmallDensityMatrix(matrix)
+    with pytest.raises(ValueError, match="real, non-negative entries"):
+        rewritten_optimal_average(2, 1, rho)
+
+
 # ------------------------------------------------------------ counterexample
 
 def test_counterexample_fractions_are_all_one_half():

@@ -225,6 +225,37 @@ def test_success_mass_rejects_out_of_range():
         success_mass(basis_state(2), [4])
 
 
+def _marked_set_error(indices, dimension) -> str:
+    try:
+        MarkedSet(indices).validate_for(dimension)
+    except ValueError as err:
+        return str(err)
+    raise AssertionError(f"MarkedSet accepts {indices!r}")
+
+
+@pytest.mark.parametrize("indices", [[1.5], ["3"], [0, 0], np.array([0.0, 3.0]), [0, 0, 0, 0, 0], [-1], [4]],
+                         ids=["float", "string", "repeat", "float-array", "five-repeats", "negative", "past-N"])
+def test_success_mass_refuses_what_marked_set_refuses(indices):
+    with pytest.raises(ValueError) as caught:
+        success_mass(equal_superposition(2), indices)
+    assert str(caught.value) == _marked_set_error(indices, 4)
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(1, 3), indices=st.lists(
+    st.one_of(st.integers(-2, 9), st.floats(-2, 9), st.sampled_from(["0", "1", "x"])), max_size=6,
+))
+def test_success_mass_reads_the_marked_set_rule(n, indices):
+    psi = random_state(n, np.random.default_rng(len(indices)))
+    try:
+        mass = success_mass(psi, indices)
+    except ValueError as err:
+        assert str(err) == _marked_set_error(indices, 2**n)
+        return
+    picked = MarkedSet(indices).indices if indices else ()
+    assert mass == pytest.approx(math.fsum(abs(psi.amplitudes[i]) ** 2 for i in picked), abs=1e-15)
+
+
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_success_mass_complement_sums_to_one(seed):
