@@ -24,6 +24,8 @@ F(x) > u F(N - 1) for its single rng.random() u: the index the dense
 cumsum and searchsorted pick, unless u lies within rounding of a CDF
 step.
 
+Per step count, F(x) = P[x] + Re(a R[x]) + Re(w RM[k]) + cc (x + 1) + dd k
+with four scalars a, w, cc, dd, so one F(x) is a few float products.
 An attempt pays only for the steps it takes:
 - P and R cost O(N) once per start state: once per run_minimization
   call, and once for all the seeds of a CLI minimize invocation.
@@ -32,12 +34,14 @@ An attempt pays only for the steps it takes:
 - A run finds its marked indices by one O(N) scan; each time the
   threshold drops, it narrows them in O(r) for the r of the round before.
 - A round builds RM, O(r), only once an attempt takes a step. Such an
-  attempt evaluates F on a grid of every sqrt(N)-th index, kept per step
-  count for the rest of the round, then on the one block that holds the
-  draw: O(sqrt(N) log r).
+  attempt bisects the sorted marked indices m_i, where k = i + 1, for the
+  first one past the bound, then the unmarked gap before it, where k = i:
+  O(log N) evaluations of F in Python floats, and x is marked exactly
+  when it is that m_i.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -203,121 +207,112 @@ def sample_measurement(state: PureState, rng: np.random.Generator) -> int:
     return min(idx, state.dimension - 1)
 
 
-def _first_above(values: np.ndarray, bound: float) -> int:
-    """Position of the first entry above bound, or the last position when none is."""
-    above = values > bound
-    i = int(above.argmax())
-    return i if above[i] else values.size - 1
-
-
-def _cdf(mass, running, count, k, marked_running, s, b, c) -> np.ndarray:
-    """F at indices x from their prefix sums: P[x], R[x], x + 1, k(x) and RM[k(x)]."""
-    sc = s * c.conjugate()
-    out = mass + (2.0 * sc * running).real
-    out += (2.0 * (b.conjugate() - sc) * marked_running).real
-    out += abs(c) ** 2 * count + (abs(b) ** 2 - abs(c) ** 2) * k
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class _StartSums:
     """Prefix sums of one start state v0, built in O(N) and shared by every seed.
 
-    mass[x] = sum |v0[y]|^2 and running[x] = sum v0[y] over y <= x; grid
-    holds every stride-th index up to N - 1, stride about sqrt(N).
+    mass[x] = sum |v0[y]|^2 and running[x] = sum v0[y] over y <= x; mass,
+    re and im (running's real and imaginary parts) are memoryviews, so an
+    index read is a Python float and nothing is copied.
     """
 
     amps: np.ndarray
-    mass: np.ndarray
-    running: np.ndarray
+    mass: memoryview
+    re: memoryview
+    im: memoryview
     total: complex
-    grid: np.ndarray
 
     @classmethod
     def of(cls, amps: np.ndarray) -> "_StartSums":
-        dim = amps.shape[0]
-        stride = 1 << ((dim.bit_length() - 1) // 2)
-        return cls(
-            amps=amps,
-            mass=np.cumsum(np.abs(amps) ** 2),
-            running=np.cumsum(amps),
-            total=complex(amps.sum()),
-            grid=np.arange(stride - 1, dim, stride),
-        )
+        running, mass = np.cumsum(amps), np.cumsum(np.abs(amps) ** 2)
+        return cls(amps, memoryview(mass), memoryview(running.real), memoryview(running.imag), complex(amps.sum()))
 
 
 class _SearchRound:
     """Born draws after any number of Grover steps; `marked` holds the marked indices, sorted.
 
     A draw after zero steps needs only the start's prefix sums. The first
-    draw after one or more steps builds the rest, once per round: RM[k] =
-    sum of v0 at the first k marked indices (O(r)); then, per step count
-    used so far, the scalars (T, b, c) and F on the grid.
+    draw after one or more steps builds RM[k] = sum of v0 at the first k
+    marked indices (O(r)), once per round; each step count used so far
+    keeps its scalars (T, b, c) and the coefficients of F.
     """
 
     def __init__(self, start: _StartSums, marked: np.ndarray) -> None:
         self.start = start
-        self.marked = marked
+        self.marked = memoryview(marked)
         self._steps: list | None = None
+        self._coefs: dict[int, tuple] = {}
 
     def _build(self) -> None:
         picked = self.start.amps[self.marked]
-        self.marked_running = np.zeros(self.marked.size + 1, dtype=np.complex128)
-        np.cumsum(picked, out=self.marked_running[1:])
+        marked_running = np.zeros(picked.size + 1, dtype=np.complex128)
+        np.cumsum(picked, out=marked_running[1:])
+        self._mre, self._mim = memoryview(marked_running.real), memoryview(marked_running.imag)
         self._picked_sum = complex(picked.sum())
         self._steps = [(self.start.total, 0j, 0j)]
-        self._grid_parts = self._parts(self.start.grid)
-        self._coarse: dict[int, np.ndarray] = {}
 
-    def _scalars(self, steps: int) -> tuple[float, complex, complex]:
-        """(s, b, c): after `steps` steps, marked x holds v0[x] + b, unmarked s v0[x] + c."""
-        if self._steps is None:
-            self._build()
-        dim = self.start.amps.shape[0]
-        r = self.marked.size
-        while len(self._steps) <= steps:
-            total, b, c = self._steps[-1]
-            total -= 2.0 * (self._picked_sum + r * b)
-            b += (2.0 / dim) * total
-            c = (2.0 / dim) * total - c
-            self._steps.append((total, b, c))
-        _, b, c = self._steps[steps]
-        return (-1.0 if steps % 2 else 1.0), b, c
+    def _coefficients(self, steps: int) -> tuple:
+        """(ar, ai, wr, wi, cc, dd, top): F's scalars a, w, cc, dd after `steps` steps, and top = F(N - 1).
 
-    def _parts(self, xs: np.ndarray) -> tuple:
-        """The prefix sums _cdf needs at the sorted indices xs."""
-        k = np.searchsorted(self.marked, xs, side="right")
-        return self.start.mass[xs], self.start.running[xs], xs + 1, k, self.marked_running[k]
+        (T, b, c) after each step follow from those of the step before.
+        """
+        coef = self._coefs.get(steps)
+        if coef is None:
+            if self._steps is None:
+                self._build()
+            start, r, dim = self.start, len(self.marked), len(self.start.mass)
+            while len(self._steps) <= steps:
+                total, b, c = self._steps[-1]
+                total -= 2.0 * (self._picked_sum + r * b)
+                b += (2.0 / dim) * total
+                c = (2.0 / dim) * total - c
+                self._steps.append((total, b, c))
+            _, b, c = self._steps[steps]
+            sc = (-1.0 if steps % 2 else 1.0) * c.conjugate()
+            a, w, cc, dd = 2.0 * sc, 2.0 * (b.conjugate() - sc), abs(c) ** 2, abs(b) ** 2 - abs(c) ** 2
+            top = (start.mass[-1] + (a.real * start.re[-1] - a.imag * start.im[-1])
+                   + (w.real * self._mre[r] - w.imag * self._mim[r]) + (cc * dim + dd * r))
+            coef = self._coefs[steps] = (a.real, a.imag, w.real, w.imag, cc, dd, top)
+        return coef
 
-    def cdf(self, xs: np.ndarray, steps: int) -> np.ndarray:
-        """F(x), the probability of measuring an index <= x after `steps` steps."""
-        scalars = self._scalars(steps)
-        return _cdf(*self._parts(xs), *scalars)
-
-    def draw(self, steps: int, u: float) -> int:
-        """The first x with F(x) > u F(N - 1): a grid pass, then one block.
+    def draw(self, steps: int, u: float) -> tuple[int, bool]:
+        """One attempt: the first x with F(x) > u F(N - 1) (N - 1 if none is), and whether x is marked.
 
         After zero steps b = c = 0, so F is the start's mass itself; it never
-        decreases, and one binary search finds x.
+        decreases, and one binary search finds x. After one or more, a
+        bisection over the marked indices finds the first marked m_i past
+        the bound, with k = i + 1 known; a second bisects the unmarked gap
+        before m_i, where k = i. x is marked exactly when it is m_i.
         """
-        mass = self.start.mass
+        mass, marked = self.start.mass, self.marked
+        last = len(mass) - 1
         if steps == 0:
-            return min(int(mass.searchsorted(u * mass[-1], side="right")), mass.size - 1)
-        scalars = self._scalars(steps)
-        coarse = self._coarse.get(steps)
-        if coarse is None:
-            coarse = self._coarse[steps] = _cdf(*self._grid_parts, *scalars)
-        bound = u * coarse[-1]
-        i = _first_above(coarse, bound)
-        grid = self.start.grid
-        lo = int(grid[i - 1]) + 1 if i else 0
-        block = _cdf(*self._parts(np.arange(lo, grid[i] + 1)), *scalars)
-        return lo + _first_above(block, bound)
-
-    def is_marked(self, x: int) -> bool:
-        """Whether x is marked: a binary search of the marked indices."""
-        k = int(self.marked.searchsorted(x))
-        return k < self.marked.size and int(self.marked[k]) == x
+            x = min(bisect.bisect_right(mass, u * mass[-1]), last)
+            i = bisect.bisect_left(marked, x)
+            return x, i < len(marked) and marked[i] == x
+        ar, ai, wr, wi, cc, dd, top = self._coefficients(steps)
+        re, im, mre, mim = self.start.re, self.start.im, self._mre, self._mim
+        bound = u * top
+        # a marked N - 1 is where the draw lands when nothing passes the bound
+        lo, hi = 0, len(marked) - (marked[-1] == last)
+        while lo < hi:
+            i = (lo + hi) // 2
+            x = marked[i]
+            k = i + 1
+            if mass[x] + (ar * re[x] - ai * im[x]) + (wr * mre[k] - wi * mim[k]) + (cc * (x + 1) + dd * k) > bound:
+                hi = i
+            else:
+                lo = i + 1
+        i = lo
+        lo, hi = (marked[i - 1] + 1 if i else 0), (marked[i] if i < len(marked) else last)
+        gap, shift = wr * mre[i] - wi * mim[i], dd * i
+        while lo < hi:
+            x = (lo + hi) // 2
+            if mass[x] + (ar * re[x] - ai * im[x]) + gap + (cc * (x + 1) + shift) > bound:
+                hi = x
+            else:
+                lo = x + 1
+        return lo, i < len(marked) and lo == marked[i]
 
 
 def exponential_search(
@@ -351,8 +346,8 @@ def _search(
         if budget is not None and calls + j > budget:
             j = budget - calls
         calls += j
-        x = rnd.draw(j, rng.random())
-        if rnd.is_marked(x):
+        x, hit = rnd.draw(j, rng.random())
+        if hit:
             return SearchOutcome(index=x, oracle_calls=calls, verified=True)
         if budget is not None and calls >= budget:
             return SearchOutcome(index=x, oracle_calls=calls, verified=False)

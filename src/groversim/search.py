@@ -229,7 +229,7 @@ def run_search(initial: PureState, marked: MarkedSet, tau: int) -> RunReport:
         config=config,
         marked=marked,
         final_success=float(traj[-1]),
-        per_iteration_success=tuple(float(p) for p in traj),
+        per_iteration_success=tuple(traj.tolist()),
     )
 
 

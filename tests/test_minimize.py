@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import itertools
 import json
@@ -170,6 +171,17 @@ def _round(amps, marked):
     return _SearchRound(_StartSums.of(np.asarray(amps)), np.array(marked, dtype=np.intp))
 
 
+def _cdf_at(rnd, x, steps):
+    """F(x) after `steps` steps from the round's own scalars: the sum its draw bisects over."""
+    start = rnd.start
+    if steps == 0:
+        return start.mass[x]
+    ar, ai, wr, wi, cc, dd, _ = rnd._coefficients(steps)
+    k = bisect.bisect_right(rnd.marked, x)
+    return (start.mass[x] + (ar * start.re[x] - ai * start.im[x])
+            + (wr * rnd._mre[k] - wi * rnd._mim[k]) + (cc * (x + 1) + dd * k))
+
+
 def _sampler_cells(rng):
     """Every edge state at n = 3, 4, 5 and r = 1, 2, N-1, N, on a few marked sets each."""
     for n in (3, 4, 5):
@@ -190,7 +202,7 @@ def test_round_cdf_matches_the_dense_cumsum(rng):
         rnd = _round(amps, marked)
         for j in range(steps + 1):
             np.testing.assert_allclose(
-                rnd.cdf(np.arange(dim), j), np.cumsum(np.abs(runs[j, 0]) ** 2),
+                [_cdf_at(rnd, x, j) for x in range(dim)], np.cumsum(np.abs(runs[j, 0]) ** 2),
                 rtol=0, atol=1e-12, err_msg=f"{label} j={j}",
             )
 
@@ -203,19 +215,18 @@ def test_round_draws_match_the_dense_sampler(rng):
             state = PureState(n, kernels.grover_evolve(amps, marked, j))
             for _ in range(16):
                 want = sample_measurement(state, dense_rng)
-                assert rnd.draw(j, round_rng.random()) == want, f"{label} j={j}"
+                assert rnd.draw(j, round_rng.random()) == (want, want in marked), f"{label} j={j}"
 
 
 def test_round_never_draws_from_a_zero_probability_region():
     # uniform start, N = 4, one marked index: one step puts all mass on it
     rnd = _round(equal_superposition(2).amplitudes, [2])
-    np.testing.assert_allclose(rnd.cdf(np.arange(4), 1), [0.0, 0.0, 1.0, 1.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose([_cdf_at(rnd, x, 1) for x in range(4)], [0.0, 0.0, 1.0, 1.0], rtol=0, atol=1e-15)
     # a basis start is certain before any step, whatever is marked
     basis = _round(basis_state(3, 5).amplitudes, [1])
     for u in np.linspace(0.0, 1.0, 101, endpoint=False):
-        assert rnd.draw(1, u) == 2
-        assert basis.draw(0, u) == 5
-    assert rnd.is_marked(2) and not rnd.is_marked(1) and not rnd.is_marked(3)
+        assert rnd.draw(1, u) == (2, True)
+        assert basis.draw(0, u) == (5, False)
 
 
 def _dense_search(initial, marked, schedule, rng):
@@ -257,18 +268,44 @@ def test_public_search_internal_round_and_dense_search_agree(rng):
 
 # ------------------------------------- the eager round, kept as a reference
 
+def _first_above(values: np.ndarray, bound: float) -> int:
+    """Position of the first entry above bound, or the last position when none is."""
+    above = values > bound
+    i = int(above.argmax())
+    return i if above[i] else values.size - 1
+
+
+def _cdf(mass, running, count, k, marked_running, s, b, c) -> np.ndarray:
+    """F at indices x from their prefix sums: P[x], R[x], x + 1, k(x) and RM[k(x)]."""
+    sc = s * c.conjugate()
+    out = mass + (2.0 * sc * running).real
+    out += (2.0 * (b.conjugate() - sc) * marked_running).real
+    out += abs(c) ** 2 * count + (abs(b) ** 2 - abs(c) ** 2) * k
+    return out
+
+
 class _EagerRound:
-    """The sampler as first written: built whole up front, grid and block on every draw."""
+    """The sampler as first written: built whole up front, grid and block on every draw.
+
+    Its prefix sums are numpy arrays, and its grid holds every stride-th
+    index up to N - 1, stride about sqrt(N).
+    """
 
     def __init__(self, start: _StartSums, marked: np.ndarray) -> None:
         self.start = start
         self.marked = marked
-        picked = start.amps[marked]
+        amps = start.amps
+        dim = amps.shape[0]
+        stride = 1 << ((dim.bit_length() - 1) // 2)
+        self.mass = np.cumsum(np.abs(amps) ** 2)
+        self.running = np.cumsum(amps)
+        self.grid = np.arange(stride - 1, dim, stride)
+        picked = amps[marked]
         self.marked_running = np.zeros(marked.size + 1, dtype=np.complex128)
         np.cumsum(picked, out=self.marked_running[1:])
         self._picked_sum = complex(picked.sum())
         self._steps = [(start.total, 0j, 0j)]
-        self._grid_parts = self._parts(start.grid)
+        self._grid_parts = self._parts(self.grid)
 
     def _scalars(self, steps: int) -> tuple[float, complex, complex]:
         dim = self.start.amps.shape[0]
@@ -284,17 +321,17 @@ class _EagerRound:
 
     def _parts(self, xs: np.ndarray) -> tuple:
         k = np.searchsorted(self.marked, xs, side="right")
-        return self.start.mass[xs], self.start.running[xs], xs + 1, k, self.marked_running[k]
+        return self.mass[xs], self.running[xs], xs + 1, k, self.marked_running[k]
 
     def draw(self, steps: int, u: float) -> int:
         scalars = self._scalars(steps)
-        coarse = minimize._cdf(*self._grid_parts, *scalars)
+        coarse = _cdf(*self._grid_parts, *scalars)
         bound = u * coarse[-1]
-        i = minimize._first_above(coarse, bound)
-        grid = self.start.grid
+        i = _first_above(coarse, bound)
+        grid = self.grid
         lo = int(grid[i - 1]) + 1 if i else 0
-        block = minimize._cdf(*self._parts(np.arange(lo, grid[i] + 1)), *scalars)
-        return lo + minimize._first_above(block, bound)
+        block = _cdf(*self._parts(np.arange(lo, grid[i] + 1)), *scalars)
+        return lo + _first_above(block, bound)
 
     def is_marked(self, x: int) -> bool:
         k = int(np.searchsorted(self.marked, x))
@@ -442,12 +479,71 @@ _LAST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 def test_a_draw_after_no_steps_is_the_first_index_past_u_of_the_mass(amps, u):
     start = _StartSums.of(amps)
     mass = start.mass
-    want = next((x for x in range(mass.size) if mass[x] > u * mass[-1]), mass.size - 1)
+    want = next((x for x in range(len(mass)) if mass[x] > u * mass[-1]), len(mass) - 1)
     rnd = _SearchRound(start, np.array([0]))
-    assert rnd.draw(0, u) == want
+    assert rnd.draw(0, u) == (want, want == 0)
     # the grid-then-block pass of the eager round picks the same index
     assert _EagerRound(start, np.array([0])).draw(0, u) == want
     assert rnd._steps is None  # nothing was built
+
+
+@st.composite
+def _rounds_with_zero_runs(draw):
+    """(round, steps) on a zero-padded start, r in {1, 2, N-1, N}, N - 1 marked or not."""
+    amps = draw(_zero_padded_starts())
+    dim = amps.size
+    r = draw(st.sampled_from(sorted({1, 2, dim - 1, dim})))
+    last = r == dim or draw(st.booleans())
+    others = draw(st.permutations(range(dim - 1)))[: r - last]
+    marked = sorted(others + [dim - 1] * last)
+    steps = draw(st.integers(0, math.ceil(math.sqrt(dim)) + 1))
+    return _round(amps, marked), steps
+
+
+@given(
+    case=_rounds_with_zero_runs(),
+    u=st.one_of(st.sampled_from([0.0, _LAST_BELOW_ONE]), st.floats(0.0, 1.0, exclude_max=True)),
+)
+@example(case=(_round([0.5] * 4, [2]), 1), u=0.0)
+@example(case=(_round([0j, 0.6, 0.8j, 0j], [3]), 2), u=_LAST_BELOW_ONE)
+def test_a_draw_is_the_first_index_a_linear_scan_finds(case, u):
+    rnd, steps = case
+    cdf = [_cdf_at(rnd, x, steps) for x in range(len(rnd.start.mass))]
+    want = next((x for x, f in enumerate(cdf) if f > u * cdf[-1]), len(cdf) - 1)
+    assert rnd.draw(steps, u) == (want, want in rnd.marked)
+
+
+def test_draws_match_the_eager_round_draw_for_draw(rng):
+    for n in range(1, 13):
+        dim = 2**n
+        for kind, amps in _edge_states(n, rng).items():
+            start = _StartSums.of(amps)
+            for r in (int(rng.integers(1, dim + 1)), int(rng.integers(1, dim + 1)), dim):
+                marked = np.sort(rng.choice(dim, size=r, replace=False))
+                rnd, eager = _SearchRound(start, marked), _EagerRound(start, marked)
+                for j in range(math.ceil(math.sqrt(dim)) + 2):
+                    for u in (0.0, _LAST_BELOW_ONE, *rng.random(14)):
+                        x = eager.draw(j, u)
+                        assert rnd.draw(j, u) == (x, eager.is_marked(x)), f"{kind} n={n} r={r} j={j} u={u!r}"
+
+
+def test_a_stepped_draw_allocates_no_array():
+    n = 16
+    rng = np.random.default_rng(0)
+    rnd = _round(equal_superposition(n).amplitudes, np.sort(rng.choice(2**n, size=2**n // 8, replace=False)))
+    steps = range(1, 2 ** (n // 2))
+    for j in steps:  # builds the round's sums and every step count's scalars
+        rnd.draw(j, 0.5)
+    tracemalloc.start()
+    try:
+        for j in steps:
+            for u in (0.0, 0.3, 0.7, _LAST_BELOW_ONE):
+                rnd.draw(j, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one float64 array over a sqrt(N) block alone would take 2 KiB here
+    assert peak < 1024
 
 
 def test_rounds_whose_attempts_take_no_steps_build_no_marked_sums(monkeypatch):
