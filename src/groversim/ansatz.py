@@ -84,7 +84,11 @@ def prepare_ansatz_state(n: int, p: LocalGateParams) -> PureState:
     zero_amp, one_amp = _qubit(p)
     zero_pows = np.array([zero_amp**k for k in range(n + 1)], dtype=np.complex128)
     one_pows = np.array([one_amp**k for k in range(n + 1)], dtype=np.complex128)
-    by_weight = zero_pows[::-1] * one_pows  # the amplitude of a label with k one bits
+    # the amplitude of a label with k one bits, as float64 products: numpy's complex multiply
+    # rounds by the SIMD target it dispatches to
+    zr, zi, orl, oi = zero_pows.real[::-1], zero_pows.imag[::-1], one_pows.real, one_pows.imag
+    by_weight = np.empty(n + 1, dtype=np.complex128)
+    by_weight.real, by_weight.imag = zr * orl - zi * oi, zr * oi + zi * orl
     high, low = n // 2, n - n // 2
     table = by_weight[np.arange(high + 1)[:, None] + _popcounts(low)]
     amps = np.empty(2**n, dtype=np.complex128)

@@ -50,8 +50,9 @@ from .states import PureState, basis_state, check_qubit_count, equal_superpositi
 
 DEVIATION_THRESHOLD = 1e-10
 _FLOAT = "{:.17g}".format  # the text of every float written to a CSV file
-_CHUNK_ROWS = 1024  # table rows joined into one string before it is written
+_CHUNK_ROWS = 1024  # table rows, or JSON encoder pieces, joined into one string before it is written
 _COPY_CHARS = 1 << 16  # a spooled table body is copied into the table this much at a time
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)  # the spelling of every JSON document and cell
 
 
 def _fmt(value) -> str:
@@ -88,25 +89,28 @@ def _atomic_write(path: Path, chunks) -> None:
         raise
 
 
+def _json_text(payload):
+    """A JSON file in pieces: _JSON's, _CHUNK_ROWS to a piece, so python -u's stdout is not written per number."""
+    pieces = _JSON.iterencode(payload)
+    yield from iter(lambda: "".join(itertools.islice(pieces, _CHUNK_ROWS)), "")
+    yield "\n"
+
+
 def _json_cell(value) -> str:
-    """json.dumps(value) for one scalar; a finite float or an int is spelled without the encoder."""
+    """_JSON's text for one scalar; a finite float or an int is spelled without the encoder."""
     if type(value) is float and math.isfinite(value):
         return float.__repr__(value)
-    return int.__repr__(value) if type(value) is int else json.dumps(value)
+    return int.__repr__(value) if type(value) is int else _JSON.encode(value)
 
 
 # Per format: cell text, float cell text, cell separator, row joiner, and the text before the first
-# row, after the last and for none; JSON as json.dumps(..., indent=2) lays out "rows" bar its "[".
+# row, after the last and for none; JSON as _JSON lays out "rows" bar its "[".
 _Layout = namedtuple("_Layout", "cell real sep join start end empty")
 _LAYOUTS = {
     "csv": _Layout(_fmt, _FLOAT, ",", "\r\n", "", "\r\n", ""),
     "json": _Layout(_json_cell, float.__repr__, ",\n      ", "\n    ],\n    [\n      ",
                     "\n    [\n      ", "\n    ]\n  ]", "]"),
 }
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, [json.dumps(payload, sort_keys=True, indent=2), "\n"])
 
 
 def _body(layout: _Layout, chunks):
@@ -129,16 +133,15 @@ def _table_text(fmt: str, meta: dict, header: list[str], body):
     """A table's file in pieces: the head, made of meta and header, then the body pieces as they come.
 
     CSV: the '# key=value' prelude, the header row, the body lines. JSON:
-    json.dumps({"columns": header, "meta": meta, "rows": rows},
-    sort_keys=True, indent=2) and a newline, with the body pieces in
-    place of the rows. No more than a piece is held at once.
+    _json_text({"columns": header, "meta": meta, "rows": rows}), with the
+    body pieces in place of the rows. No more than a piece is held at once.
     """
     if fmt == "csv":
         yield from (f"# {key}={_fmt(meta[key])}\r\n" for key in sorted(meta))
         yield ",".join(header) + "\r\n"
         yield from body
         return
-    head = json.dumps({"columns": header, "meta": meta}, sort_keys=True, indent=2)
+    head = _JSON.encode({"columns": header, "meta": meta})
     yield head[: -len("\n}")] + ',\n  "rows": ['
     yield from body
     yield "\n}\n"
@@ -451,10 +454,10 @@ def cmd_run(args) -> int:
         "report": report.to_dict(),
     }
     if args.out:
-        _write_json(Path(args.out), payload)
+        _atomic_write(Path(args.out), _json_text(payload))
         print(f"run: final success {report.final_success:.6f} after tau={args.tau}; wrote {args.out}")
     else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        sys.stdout.writelines(_json_text(payload))
     return 0
 
 
@@ -503,7 +506,7 @@ def cmd_minimize(args) -> int:
     base = Path(args.out)
     json_path = base.with_name(base.name + ".json")
     csv_path = base.with_name(base.name + "_summary.csv")
-    _write_json(json_path, payload)
+    _atomic_write(json_path, _json_text(payload))
 
     rows = [
         (rep.seed, rep.result_index, rep.result_value, rep.oracle_calls_used,

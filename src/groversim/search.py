@@ -270,28 +270,20 @@ def check_enumeration_cap(dim: int, r: int, cap: int) -> None:
         )
 
 
-def _split_means(initial: PureState, marked: MarkedSet) -> tuple[float, complex, complex]:
-    marked.validate_for(initial.dimension)
-    amps = initial.amplitudes
-    dim = initial.dimension
-    r = marked.r
-    sel = np.zeros(dim, dtype=bool)
-    sel[list(marked.indices)] = True
-    p0 = float(np.sum(np.abs(amps[sel]) ** 2))
-    abar_m = complex(amps[sel].mean())
-    abar_u = complex(amps[~sel].mean()) if r < dim else 0.0 + 0.0j
-    return p0, abar_m, abar_u
-
-
 def subspace_decompose(initial: PureState, marked: MarkedSet) -> SubspaceCoords:
     """Coordinates of `initial` in the four-dimensional invariant subspace.
 
+    The unmarked mean is (total - marked sum) / (N - r), as the kernels keep it.
     The two Gram-Schmidt weights are clamped to zero below 1e-14; round-off
     can otherwise push them slightly negative.
     """
+    marked.validate_for(initial.dimension)
     dim = initial.dimension
     r = marked.r
-    p0, abar_m, abar_u = _split_means(initial, marked)
+    picked = initial.amplitudes[list(marked.indices)]
+    p0 = float(np.sum(np.abs(picked) ** 2))
+    abar_m = complex(picked.mean())
+    abar_u = complex(initial.amplitudes.sum() - picked.sum()) / (dim - r) if r < dim else 0.0 + 0.0j
     w_m = p0 - r * abs(abar_m) ** 2
     w_u = (1.0 - p0) - (dim - r) * abs(abar_u) ** 2
     c_psi_m = math.sqrt(w_m) if w_m > DEGENERATE_ATOL else 0.0

@@ -85,14 +85,18 @@ def test_closed_form_state_matches_the_circuit(alpha, beta, theta, n):
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_row_block_gather_is_the_weight_lookup_byte_for_byte(n):
-    # the reference indexes the weights by each label's popcount directly
+    # the reference indexes the weights by each label's popcount directly; it forms each weight as
+    # float64 products, as prepare_ansatz_state does, since numpy's complex multiply rounds by SIMD target
     for alpha, beta, theta in [(0.0, 0.0, 0.0), (0.4, -1.1, math.pi / 2), (0.0, 0.0, math.pi / 4),
                                (0.3, 0.35, 0.78), (-5.9, 2.3, 1.2)]:
         p = LocalGateParams(alpha, beta, theta)
         zero, one = cmath.exp(1j * alpha) * math.cos(theta), cmath.exp(1j * beta) * math.sin(theta)
         zero_pows = np.array([zero**k for k in range(n + 1)], dtype=np.complex128)
         one_pows = np.array([one**k for k in range(n + 1)], dtype=np.complex128)
-        by_weight = zero_pows[::-1] * one_pows
+        zr, zi, orl, oi = zero_pows.real[::-1], zero_pows.imag[::-1], one_pows.real, one_pows.imag
+        by_weight = np.empty(n + 1, dtype=np.complex128)
+        by_weight.real = zr * orl - zi * oi
+        by_weight.imag = zr * oi + zi * orl
         expected = by_weight[np.bitwise_count(np.arange(2**n, dtype=np.uint32))]
         assert prepare_ansatz_state(n, p).amplitudes.tobytes() == expected.tobytes()
 

@@ -150,6 +150,31 @@ def test_run_rejects_partial_ansatz_flags(tmp_path, capsys):
     assert "together" in capsys.readouterr().err
 
 
+def test_run_streams_its_trace(tmp_path, capsys):
+    # encoded as one string, the trace peaked at about 150 B per step traced; in pieces, at about 50
+    import tracemalloc
+
+    tau = 50_000
+    argv = ["run", "--n", "1", "--marked", "0", "--tau", str(tau)]
+    out = tmp_path / "run.json"
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * tau
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_json_text_is_one_dumps():
+    payload = {"b": [math.nan, math.inf, -math.inf, -0.0, 1e-310, (1, (2.5, [None, True]))],
+               "a": {"z": "naïve ψ \"q\"", "y": [], "x": {}}, "c": None, "ü": ()}
+    assert "".join(cli._json_text(payload)) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_minimize_constant_objective(tmp_path):
     assert main(["minimize", "--generator", "constant", "--objective-n", "3",
                  "--seeds", "0,1", "--out", str(tmp_path / "mini")]) == 0
@@ -331,9 +356,9 @@ def test_no_flag_takes_an_unchecked_number():
     assert [(c, a.option_strings[0]) for c, a in _typed_actions() if a.type in (int, float)] == []
 
 
-def _run_module(args, cwd):
-    """Run `python -m groversim.cli` on the imported copy of the package."""
-    env = dict(os.environ)
+def _run_module(args, cwd, env=None):
+    """Run `python -m groversim.cli` on the imported copy of the package, in env (else this one)."""
+    env = dict(os.environ if env is None else env)
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(groversim.__file__)))
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = package_root + (os.pathsep + existing if existing else "")
@@ -349,6 +374,22 @@ def test_process_exit_codes(tmp_path):
     proc = _run_module(["--version"], tmp_path)
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"groversim {groversim.__version__}"
+
+
+def test_run_bytes_do_not_depend_on_simd_dispatch(tmp_path):
+    # an ansatz start once went through numpy's complex multiply, whose rounding varies by SIMD target
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    probe = ("from numpy._core._multiarray_umath import __cpu_dispatch__ as d, __cpu_features__ as f; "
+             "print(' '.join(t for t in d if f.get(t)))")
+    targets = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                             check=True).stdout.strip()
+    for n in (5, 20):
+        argv = ["run", "--n", str(n), "--marked", "1", "--tau", "20",
+                "--alpha", "0.3", "--beta", "1.1", "--theta", "0.6"]
+        default = _run_module(argv, tmp_path, env)
+        baseline = _run_module(argv, tmp_path, {**env, "NPY_DISABLE_CPU_FEATURES": targets})
+        assert default.returncode == baseline.returncode == 0, default.stderr + baseline.stderr
+        assert default.stdout == baseline.stdout
 
 
 def test_verify_without_a_valid_cell_is_a_usage_error(tmp_path, capsys):
