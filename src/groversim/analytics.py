@@ -121,8 +121,7 @@ def mixing_angle(dim: int, r: int) -> float:
 
 def coherence_fraction(state: PureState) -> float:
     """f_c = |<eta|psi>|^2 = |sum_x a_x|^2 / N."""
-    total = complex(np.sum(state.amplitudes))
-    return float(abs(total) ** 2 / state.dimension)
+    return float(abs(state.amplitude_sum) ** 2 / state.dimension)
 
 
 def coherence_fraction_mixture(mixture: StateMixture) -> float:

@@ -11,6 +11,7 @@ json.dumps writes it. Writes are atomic (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -43,16 +44,18 @@ from .search import (
     ENUMERATION_CAP,
     EnumerationCapError,
     MarkedSet,
+    RunReport,
     check_enumeration_cap,
-    run_search,
+    search_trace,
 )
 from .states import PureState, basis_state, check_qubit_count, equal_superposition, sealed
 
 DEVIATION_THRESHOLD = 1e-10
 _FLOAT = "{:.17g}".format  # the text of every float written to a CSV file
 _CHUNK_ROWS = 1024  # table rows, or JSON encoder pieces, joined into one string before it is written
-_COPY_CHARS = 1 << 16  # a spooled table body is copied into the table this much at a time
+_COPY_CHARS = 1 << 13  # a spooled text is read back this much at a time
 _JSON = json.JSONEncoder(sort_keys=True, indent=2)  # the spelling of every JSON document and cell
+_TRACE = "\0"  # holds the place of run's trace in its JSON text, which is spelled around it
 
 
 def _fmt(value) -> str:
@@ -111,6 +114,8 @@ _LAYOUTS = {
     "json": _Layout(_json_cell, float.__repr__, ",\n      ", "\n    ],\n    [\n      ",
                     "\n    [\n      ", "\n    ]\n  ]", "]"),
 }
+# run's trace, the items of a list as deep in _JSON's text as a table row's cells; its brackets are _JSON's
+_TRACE_LAYOUT = _Layout(None, None, None, ",\n      ", "", "", "")
 
 
 def _body(layout: _Layout, chunks):
@@ -152,20 +157,34 @@ def _write_table(path: Path, fmt: str, meta: dict, header: list[str], rows) -> N
     _atomic_write(path, _table_text(fmt, meta, header, _table_body(fmt, rows)))
 
 
+@contextlib.contextmanager
+def _spooled(pieces, beside: str | Path | None):
+    """Write the text pieces to an unnamed temporary file, then yield an iterator that reads them back.
+
+    The file goes beside the path `beside`, whose directory is made if it
+    is missing, or to the system's temporary directory for None. The system
+    deletes it however the run ends. Reads are _COPY_CHARS at a time, so
+    the text is never held in memory.
+    """
+    directory = None
+    if beside is not None:
+        directory = Path(beside).parent
+        directory.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=directory) as spool:
+        spool.writelines(pieces)
+        spool.seek(0)
+        yield iter(lambda: spool.read(_COPY_CHARS), "")
+
+
 def _write_table_then_meta(path: Path, fmt: str, header: list[str], rows, meta) -> None:
     """Write a table whose metadata is known only once its last row is: meta() gives it then.
 
-    The body goes, as the rows come, to an unnamed temporary file beside
-    path, which the system deletes however the run ends. The head, the body
-    copied back and the tail then go to path in one atomic write, so the
-    table is never held in memory and path appears whole or not at all.
+    The body is spooled (_spooled) as the rows come. The head, the body and
+    the tail then go to path in one atomic write, so path appears whole or
+    not at all.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=path.parent) as body:
-        body.writelines(_table_body(fmt, rows))
-        body.seek(0)
-        _atomic_write(path, _table_text(fmt, meta(), header, iter(lambda: body.read(_COPY_CHARS), "")))
+    with _spooled(_table_body(fmt, rows), path) as body:
+        _atomic_write(path, _table_text(fmt, meta(), header, body))
 
 
 def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], axis: list, lines) -> None:
@@ -439,25 +458,40 @@ def cmd_ansatz_grid(args) -> int:
 
 
 def cmd_run(args) -> int:
-    """One search run with the success trace recorded every step."""
+    """One search run with the success trace recorded every step.
+
+    The trace is spooled as it is stepped, each value spelled as _JSON
+    spells a finite float. Its final value then completes the report, which
+    _JSON spells around the trace's place.
+    """
     marked = args.marked
     try:
         marked.validate_for(2**args.n)
     except ValueError as exc:
         raise ValueError(f"--marked {exc}") from None
     state, state_meta = _start_state(args, args.n)
+    config, chunks = search_trace(state, marked, args.tau)
+    final = math.nan
 
-    report = run_search(state, marked, args.tau)
-    payload = {
-        "meta": _meta("run", {"n": args.n, "tau": args.tau, "marked": list(marked.indices), **state_meta}),
-        "initial_fc": coherence_fraction(state),
-        "report": report.to_dict(),
-    }
-    if args.out:
-        _atomic_write(Path(args.out), _json_text(payload))
-        print(f"run: final success {report.final_success:.6f} after tau={args.tau}; wrote {args.out}")
-    else:
-        sys.stdout.writelines(_json_text(payload))
+    def trace_texts():
+        nonlocal final
+        for chunk in chunks:
+            final = chunk[-1]
+            yield map(float.__repr__, chunk)
+
+    with _spooled(_body(_TRACE_LAYOUT, trace_texts()), args.out) as trace:
+        payload = {
+            "meta": _meta("run", {"n": args.n, "tau": args.tau, "marked": list(marked.indices), **state_meta}),
+            "initial_fc": coherence_fraction(state),
+            "report": RunReport(config, marked, final, (_TRACE,)).to_dict(),
+        }
+        head, tail = _JSON.encode(payload).split(_JSON.encode(_TRACE))
+        text = itertools.chain([head], trace, [tail, "\n"])
+        if args.out:
+            _atomic_write(Path(args.out), text)
+            print(f"run: final success {final:.6f} after tau={args.tau}; wrote {args.out}")
+        else:
+            sys.stdout.writelines(text)
     return 0
 
 

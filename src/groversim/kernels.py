@@ -17,6 +17,20 @@ assembly after the steps. A marked index set must hold distinct in-range
 indices (MarkedSet guarantees both): a repeated index would be counted
 twice in sum(A).
 
+The single-set kernels (grover_evolve, success_trajectory) step A as
+Python complex numbers while its 2r floats number fewer than 8, that is
+for r <= 3, and as a numpy array from r = 4 on; both paths give the same
+bits. Every multiply in the recurrence is by 2 or 2/N, powers of two for
+N = 2**n, so none rounds, fused with an add or not, and the zero cross
+terms of numpy's complex-by-real product (2 re - 0 im, 2 im + 0 re) change
+nothing. Below 8 floats numpy's add-reduce is one loop in index order from
+zero, as `s = 0j; s += a` over A is, and the marked mass is
+re0**2 + im0**2 + re1**2 + ... in that order too. From 8 floats on numpy
+sums with 8 accumulators, which rounds otherwise, so r >= 4 keeps the
+numpy loop. success_chunks yields the trace _TRACE_CHUNK steps at a time,
+carrying A and T from one list to the next, so a caller can write a trace
+of any length in bounded memory.
+
 The all-subsets average steps subsets in lexicographic chunks of at most
 _CHUNK_ELEMENTS marked amplitudes (one subset when r is larger), so the
 workspace does not grow with C(N, r). Each chunk is summed with np.sum and
@@ -47,12 +61,17 @@ MAX_SUBSETS = 2**63 - 1 subsets.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 # Marked amplitudes per subset-averaging chunk: 1 MiB of complex128.
 _CHUNK_ELEMENTS = 1 << 16
+# Below this many float64 addends, numpy's add-reduce is one loop in index order.
+_SEQUENTIAL_FLOATS = 8
+# Steps per list of success_chunks.
+_TRACE_CHUNK = 512
 # The most subsets one enumeration can rank in int64.
 MAX_SUBSETS = 2**63 - 1
 
@@ -75,24 +94,19 @@ def subset_count(dim: int, r: int) -> int | None:
     return count
 
 
-def grover_evolve(amps: np.ndarray, marked, tau: int) -> np.ndarray:
+def grover_evolve(amps: np.ndarray, marked, tau: int, total: complex | None = None) -> np.ndarray:
     """Amplitudes after tau Grover steps with the given marked indices.
 
-    `marked` must hold distinct indices in [0, len(amps)). The input is
-    never written; tau = 0 returns a copy of it.
+    `marked` must hold distinct indices in [0, len(amps)). total is
+    np.sum(amps) when the caller has it, and is summed here otherwise. The
+    input is never written; tau = 0 returns a copy of it.
     """
     out = np.array(amps, dtype=np.complex128)
     if tau == 0:
         return out
-    dim = out.shape[0]
     marked = np.asarray(marked, dtype=np.intp)
-    picked = out[marked]
-    total = out.sum()
-    shift = 0.0
-    for _ in range(tau):
-        total -= 2.0 * picked.sum()
-        picked += (2.0 / dim) * total
-        shift = (2.0 / dim) * total - shift
+    picked, step = _stepper(out[marked])
+    picked, _, shift = step(picked, _start_total(out, total), 2.0 / out.shape[0], tau, None)
     if tau % 2:
         np.negative(out, out=out)
     out += shift
@@ -100,23 +114,88 @@ def grover_evolve(amps: np.ndarray, marked, tau: int) -> np.ndarray:
     return out
 
 
-def success_trajectory(amps: np.ndarray, marked, tau_max: int) -> np.ndarray:
+def success_trajectory(amps: np.ndarray, marked, tau_max: int, total: complex | None = None) -> np.ndarray:
     """Marked-index probability mass after 0..tau_max Grover steps.
 
-    `marked` must hold distinct indices in [0, len(amps)).
+    `marked` must hold distinct indices in [0, len(amps)); total is
+    np.sum(amps) when the caller has it.
+    """
+    chunks = success_chunks(amps, marked, tau_max, total)
+    return np.fromiter(itertools.chain.from_iterable(chunks), np.float64, count=tau_max + 1)
+
+
+def success_chunks(amps: np.ndarray, marked, tau_max: int, total: complex | None = None):
+    """success_trajectory's values in order: the start's mass alone, then lists of at most _TRACE_CHUNK.
+
+    The marked amplitudes and the total are carried from one list to the
+    next, so the trace is never held whole.
     """
     amps = np.asarray(amps, dtype=np.complex128)
-    dim = amps.shape[0]
-    picked = amps[np.asarray(marked, dtype=np.intp)]
+    gathered = amps[np.asarray(marked, dtype=np.intp)]
+    parts = gathered.view(np.float64)                    # real and imaginary parts
+    yield [float(np.sum(parts * parts))]
+    picked, step = _stepper(gathered)
+    total = _start_total(amps, total)
+    scale = 2.0 / amps.shape[0]
+    for first in range(0, tau_max, _TRACE_CHUNK):
+        masses: list[float] = []
+        picked, total, _ = step(picked, total, scale, min(_TRACE_CHUNK, tau_max - first), masses)
+        yield masses
+
+
+def _start_total(amps: np.ndarray, total: complex | None) -> complex:
+    """total as a Python complex; np.sum(amps) when it is None."""
+    return complex(amps.sum() if total is None else total)
+
+
+def _stepper(picked: np.ndarray):
+    """The marked amplitudes as the stepping loop for their count takes them, and that loop.
+
+    Below _SEQUENTIAL_FLOATS floats, Python complex numbers (_scalar_steps);
+    from there on, the complex128 array itself (_array_steps).
+    """
+    if 2 * picked.size < _SEQUENTIAL_FLOATS:
+        return picked.tolist(), _scalar_steps
+    return picked, _array_steps
+
+
+def _scalar_steps(picked: list, total: complex, scale: float, steps: int, masses: list | None):
+    """Take `steps` Grover steps on the marked amplitudes A and the total T; scale is 2/N.
+
+    Appends the marked mass after each step to masses, unless it is None.
+    Returns (A, T) after the last step and the shift c of the unmarked
+    amplitudes, counted from c = 0 before the first. Sums run in list order
+    from zero, the order numpy's add-reduce takes below _SEQUENTIAL_FLOATS.
+    """
+    shift = 0j
+    for _ in range(steps):
+        s = 0j
+        for a in picked:
+            s += a
+        total -= 2.0 * s
+        d = scale * total
+        shift = d - shift
+        picked = [a + d for a in picked]
+        if masses is not None:
+            m = 0.0
+            for a in picked:
+                m = m + a.real * a.real + a.imag * a.imag
+            masses.append(m)
+    return picked, total, shift
+
+
+def _array_steps(picked: np.ndarray, total: complex, scale: float, steps: int, masses: list | None):
+    """_scalar_steps on a complex128 array of marked amplitudes, which it steps in place."""
     parts = picked.view(np.float64)                      # real and imaginary parts
-    total = amps.sum()
-    out = np.empty(tau_max + 1, dtype=np.float64)
-    out[0] = np.sum(parts * parts)
-    for t in range(1, tau_max + 1):
+    shift = 0.0
+    for _ in range(steps):
         total -= 2.0 * picked.sum()
-        picked += (2.0 / dim) * total
-        out[t] = np.sum(parts * parts)
-    return out
+        d = scale * total
+        picked += d
+        shift = d - shift
+        if masses is not None:
+            masses.append(float(np.sum(parts * parts)))
+    return picked, total, shift
 
 
 def _binomial_tables(width: int, levels: int) -> list[np.ndarray]:

@@ -223,9 +223,10 @@ class _StartSums:
     total: complex
 
     @classmethod
-    def of(cls, amps: np.ndarray) -> "_StartSums":
+    def of(cls, amps: np.ndarray, total: complex) -> "_StartSums":
+        """The prefix sums of amps, whose np.sum is total."""
         running, mass = np.cumsum(amps), np.cumsum(np.abs(amps) ** 2)
-        return cls(amps, memoryview(mass), memoryview(running.real), memoryview(running.imag), complex(amps.sum()))
+        return cls(amps, memoryview(mass), memoryview(running.real), memoryview(running.imag), total)
 
 
 class _SearchRound:
@@ -330,7 +331,8 @@ def exponential_search(
     at that point comes back unverified.
     """
     marked.validate_for(initial.dimension)
-    rnd = _SearchRound(_StartSums.of(initial.amplitudes), np.array(marked.indices, dtype=np.intp))
+    start = _StartSums.of(initial.amplitudes, initial.amplitude_sum)
+    rnd = _SearchRound(start, np.array(marked.indices, dtype=np.intp))
     return _search(rnd, schedule, rng, schedule.max_oracle_calls)
 
 
@@ -385,7 +387,7 @@ def _minimizations(
     seeds,
 ) -> list[MinimizationReport]:
     """run_minimization from prep for each seed in turn; the seeds share its prefix sums."""
-    start = _StartSums.of(prep.amplitudes)
+    start = _StartSums.of(prep.amplitudes, prep.amplitude_sum)
     values = table.values
     budget = schedule.max_oracle_calls
     reports = []

@@ -12,7 +12,9 @@ uniform state, and one Grover step acts on those four coordinates alone.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,7 +213,7 @@ def grover_iterate(state: PureState, marked: MarkedSet, tau: int) -> PureState:
     """Apply tau Grover steps (oracle then diffusion, tau times)."""
     marked.validate_for(state.dimension)
     SearchConfig(state.n, marked.r, tau)
-    out = kernels.grover_evolve(state.amplitudes, marked.indices, tau)
+    out = kernels.grover_evolve(state.amplitudes, marked.indices, tau, state.amplitude_sum)
     return PureState(state.n, sealed(out))
 
 
@@ -222,15 +224,20 @@ def success_probability(initial: PureState, marked: MarkedSet, tau: int) -> floa
 
 def run_search(initial: PureState, marked: MarkedSet, tau: int) -> RunReport:
     """Run tau steps and record the success mass after each one."""
+    config, chunks = search_trace(initial, marked, tau)
+    trace = tuple(itertools.chain.from_iterable(chunks))
+    return RunReport(config=config, marked=marked, final_success=trace[-1], per_iteration_success=trace)
+
+
+def search_trace(initial: PureState, marked: MarkedSet, tau: int) -> tuple[SearchConfig, Iterator[list[float]]]:
+    """run_search's SearchConfig, and its success masses after 0..tau steps as an iterator of lists.
+
+    The lists come in step order as kernels.success_chunks steps them, so
+    the trace is never held whole.
+    """
     marked.validate_for(initial.dimension)
     config = SearchConfig(initial.n, marked.r, tau)
-    traj = kernels.success_trajectory(initial.amplitudes, marked.indices, tau)
-    return RunReport(
-        config=config,
-        marked=marked,
-        final_success=float(traj[-1]),
-        per_iteration_success=tuple(traj.tolist()),
-    )
+    return config, kernels.success_chunks(initial.amplitudes, marked.indices, tau, initial.amplitude_sum)
 
 
 def average_over_all_sets(
@@ -283,7 +290,7 @@ def subspace_decompose(initial: PureState, marked: MarkedSet) -> SubspaceCoords:
     picked = initial.amplitudes[list(marked.indices)]
     p0 = float(np.sum(np.abs(picked) ** 2))
     abar_m = complex(picked.mean())
-    abar_u = complex(initial.amplitudes.sum() - picked.sum()) / (dim - r) if r < dim else 0.0 + 0.0j
+    abar_u = complex(initial.amplitude_sum - picked.sum()) / (dim - r) if r < dim else 0.0 + 0.0j
     w_m = p0 - r * abs(abar_m) ** 2
     w_u = (1.0 - p0) - (dim - r) * abs(abar_u) ** 2
     c_psi_m = math.sqrt(w_m) if w_m > DEGENERATE_ATOL else 0.0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,11 @@ class PureState:
     @property
     def dimension(self) -> int:
         return self.amplitudes.shape[0]
+
+    @cached_property
+    def amplitude_sum(self) -> complex:
+        """np.sum of the amplitudes, computed on first use; the amplitudes are read-only, so it stays true."""
+        return complex(np.sum(self.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)

@@ -169,6 +169,42 @@ def test_run_streams_its_trace(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text()
 
 
+def _run_peak(tau: int, out: Path) -> int:
+    """tracemalloc's peak over one `run` to a file at n = 1 with tau steps.
+
+    The cycle collector is off meanwhile: left on, it frees the run's own
+    cyclic garbage (the argument parser) at a point that moves with tau.
+    """
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert main(["run", "--n", "1", "--marked", "0", "--tau", str(tau), "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_run_memory_does_not_grow_with_its_trace(tmp_path, capsys):
+    out = tmp_path / "run.json"
+    _run_peak(10, out)  # first-use allocations
+    small = _run_peak(1_000, out)
+    assert _run_peak(200_000, out) < small + 8 * 1024
+
+
+def test_run_trace_stays_exact_over_a_million_steps(tmp_path, capsys):
+    # N = 2, r = 1 from the uniform state: the success mass is 1/2 at every step
+    out = tmp_path / "run.json"
+    assert main(["run", "--n", "1", "--marked", "0", "--tau", "1000000", "--out", str(out)]) == 0
+    trace = np.array(json.loads(out.read_text())["report"]["per_iteration_success"])
+    assert trace.shape == (1_000_001,)
+    assert np.abs(trace - 0.5).max() <= 2.3e-16
+
+
 def test_json_text_is_one_dumps():
     payload = {"b": [math.nan, math.inf, -math.inf, -0.0, 1e-310, (1, (2.5, [None, True]))],
                "a": {"z": "naïve ψ \"q\"", "y": [], "x": {}}, "c": None, "ü": ()}

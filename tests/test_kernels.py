@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,6 +99,99 @@ def test_evolve_matches_dense_steps_on_random_marked_sets(seed, n, tau, data):
         kernels.grover_evolve(amps, marked, tau), _dense_runs(amps, [marked], tau)[0][-1, 0],
         rtol=0, atol=1e-12,
     )
+
+
+def _numpy_evolve(amps, marked, tau):
+    """grover_evolve as it was before the scalar loop: four numpy calls per step at every r.
+
+    Kept verbatim as the reference the kernel must match bit for bit.
+    """
+    out = np.array(amps, dtype=np.complex128)
+    if tau == 0:
+        return out
+    dim = out.shape[0]
+    marked = np.asarray(marked, dtype=np.intp)
+    picked = out[marked]
+    total = out.sum()
+    shift = 0.0
+    for _ in range(tau):
+        total -= 2.0 * picked.sum()
+        picked += (2.0 / dim) * total
+        shift = (2.0 / dim) * total - shift
+    if tau % 2:
+        np.negative(out, out=out)
+    out += shift
+    out[marked] = picked
+    return out
+
+
+def _numpy_trajectory(amps, marked, tau_max):
+    """success_trajectory as it was before the scalar loop, kept verbatim as the reference."""
+    amps = np.asarray(amps, dtype=np.complex128)
+    dim = amps.shape[0]
+    picked = amps[np.asarray(marked, dtype=np.intp)]
+    parts = picked.view(np.float64)                      # real and imaginary parts
+    total = amps.sum()
+    out = np.empty(tau_max + 1, dtype=np.float64)
+    out[0] = np.sum(parts * parts)
+    for t in range(1, tau_max + 1):
+        total -= 2.0 * picked.sum()
+        picked += (2.0 / dim) * total
+        out[t] = np.sum(parts * parts)
+    return out
+
+
+def _same_bits(got, want, msg=""):
+    """Equal bit for bit: the sign of a zero counts, as it does not for ==."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, msg
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=msg)
+
+
+@settings(deadline=None, max_examples=250)
+@given(
+    kind=st.sampled_from(["uniform", "basis", "random", "ansatz", "zero"]),
+    n=st.integers(1, 9),
+    tau=st.integers(0, 300),
+    chunk=st.sampled_from([1, 7, kernels._TRACE_CHUNK]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_kernels_match_the_numpy_loop_bit_for_bit(kind, n, tau, chunk, seed, data):
+    # r <= 3 steps Python complex numbers, r = 4 the numpy loop; "zero" zeroes the marked amplitudes
+    dim = 2**n
+    r = data.draw(st.integers(1, min(4, dim)), label="r")
+    marked = data.draw(st.lists(st.integers(0, dim - 1), min_size=r, max_size=r, unique=True), label="marked")
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        amps = equal_superposition(n).amplitudes
+    elif kind == "basis":
+        amps = basis_state(n, int(rng.integers(dim))).amplitudes
+    elif kind == "ansatz":
+        alpha, beta = rng.uniform(-math.pi, math.pi, size=2)
+        amps = prepare_ansatz_state(n, LocalGateParams(alpha, beta, rng.uniform(0, math.pi / 2))).amplitudes
+    else:
+        amps = random_state(n, rng).amplitudes.copy()
+        if kind == "zero":
+            amps[marked] = 0.0
+    total = complex(np.sum(amps))
+    with mock.patch.object(kernels, "_TRACE_CHUNK", chunk):
+        trajectory = _numpy_trajectory(amps, marked, tau)
+        _same_bits(kernels.success_trajectory(amps, marked, tau), trajectory)
+        _same_bits(kernels.success_trajectory(amps, marked, tau, total), trajectory)
+        chunks = list(kernels.success_chunks(amps, marked, tau, total))
+        assert all(1 <= len(c) <= chunk for c in chunks[1:]) and len(chunks[0]) == 1
+        _same_bits(np.concatenate(chunks), trajectory)
+    evolved = _numpy_evolve(amps, marked, tau)
+    _same_bits(kernels.grover_evolve(amps, marked, tau), evolved)
+    _same_bits(kernels.grover_evolve(amps, marked, tau, total), evolved)
+
+
+def test_four_states_repeat_a_quarter_one_and_a_quarter_exactly():
+    # N = 4, r = 1: theta = pi/3, so the success mass is sin^2((2t + 1) pi/6)
+    tau = 1_000_000
+    got = kernels.success_trajectory(equal_superposition(2).amplitudes, [2], tau)
+    np.testing.assert_array_equal(got, np.resize([0.25, 1.0, 0.25], tau + 1))
 
 
 def test_average_chunking_perturbs_nothing_beyond_roundoff(rng, monkeypatch):

@@ -167,8 +167,14 @@ def test_sampling_is_deterministic_per_seed():
 
 # ------------------------------------------------- sampling without a vector
 
+def _start_sums(amps):
+    """_StartSums of an amplitude array, with its total summed as a PureState sums its own."""
+    amps = np.asarray(amps)
+    return _StartSums.of(amps, complex(np.sum(amps)))
+
+
 def _round(amps, marked):
-    return _SearchRound(_StartSums.of(np.asarray(amps)), np.array(marked, dtype=np.intp))
+    return _SearchRound(_start_sums(amps), np.array(marked, dtype=np.intp))
 
 
 def _cdf_at(rnd, x, steps):
@@ -359,7 +365,7 @@ def _eager_search(rnd, schedule, rng):
 def _eager_minimization(table, prep, schedule, seed):
     """Threshold descent that rebuilds the start's prefix sums for every seed."""
     rng = np.random.default_rng(seed)
-    start = _StartSums.of(prep.amplitudes)
+    start = _StartSums.of(prep.amplitudes, prep.amplitude_sum)
     x = int(rng.integers(table.dimension))
     d = float(table.values[x])
     history = [(x, d)]
@@ -477,7 +483,7 @@ _LAST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 @example(amps=np.array([0j, 0j, 1.0, 0j]), u=_LAST_BELOW_ONE)
 @example(amps=np.array([0j, 0.6, 0.8j, 0j]), u=0.36)
 def test_a_draw_after_no_steps_is_the_first_index_past_u_of_the_mass(amps, u):
-    start = _StartSums.of(amps)
+    start = _start_sums(amps)
     mass = start.mass
     want = next((x for x in range(len(mass)) if mass[x] > u * mass[-1]), len(mass) - 1)
     rnd = _SearchRound(start, np.array([0]))
@@ -517,7 +523,7 @@ def test_draws_match_the_eager_round_draw_for_draw(rng):
     for n in range(1, 13):
         dim = 2**n
         for kind, amps in _edge_states(n, rng).items():
-            start = _StartSums.of(amps)
+            start = _start_sums(amps)
             for r in (int(rng.integers(1, dim + 1)), int(rng.integers(1, dim + 1)), dim):
                 marked = np.sort(rng.choice(dim, size=r, replace=False))
                 rnd, eager = _SearchRound(start, marked), _EagerRound(start, marked)
