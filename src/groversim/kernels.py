@@ -114,13 +114,12 @@ def grover_evolve(amps: np.ndarray, marked, tau: int, total: complex | None = No
     return out
 
 
-def success_trajectory(amps: np.ndarray, marked, tau_max: int, total: complex | None = None) -> np.ndarray:
+def success_trajectory(amps: np.ndarray, marked, tau_max: int) -> np.ndarray:
     """Marked-index probability mass after 0..tau_max Grover steps.
 
-    `marked` must hold distinct indices in [0, len(amps)); total is
-    np.sum(amps) when the caller has it.
+    `marked` must hold distinct indices in [0, len(amps)).
     """
-    chunks = success_chunks(amps, marked, tau_max, total)
+    chunks = success_chunks(amps, marked, tau_max)
     return np.fromiter(itertools.chain.from_iterable(chunks), np.float64, count=tau_max + 1)
 
 
@@ -128,7 +127,8 @@ def success_chunks(amps: np.ndarray, marked, tau_max: int, total: complex | None
     """success_trajectory's values in order: the start's mass alone, then lists of at most _TRACE_CHUNK.
 
     The marked amplitudes and the total are carried from one list to the
-    next, so the trace is never held whole.
+    next, so the trace is never held whole. total is np.sum(amps) when the
+    caller has it.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     gathered = amps[np.asarray(marked, dtype=np.intp)]
