@@ -204,21 +204,6 @@ def rewritten_optimal_average(dim: int, r: int, rho: SmallDensityMatrix) -> floa
     return optimal_average(dim, r, (1.0 + l1_coherence(rho)) / dim)
 
 
-def _two_qubit_product_plus_zero() -> PureState:
-    # (|0> + |1>)/sqrt2 on qubit 0, |0> on qubit 1: amplitudes on 00 and 10
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0b00] = 1.0 / math.sqrt(2.0)
-    amps[0b10] = 1.0 / math.sqrt(2.0)
-    return PureState(2, amps)
-
-
-def _two_qubit_bell() -> PureState:
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0b00] = 1.0 / math.sqrt(2.0)
-    amps[0b11] = 1.0 / math.sqrt(2.0)
-    return PureState(2, amps)
-
-
 def measure_counterexample_report() -> MeasureCounterexampleReport:
     """Four witness states showing f_c tracks neither entanglement nor coherence.
 
@@ -226,8 +211,10 @@ def measure_counterexample_report() -> MeasureCounterexampleReport:
     f_c = 1/2; so do the maximally mixed qubit (zero l1 coherence) and a
     qubit state with off-diagonal weight i/3.
     """
-    separable = coherence_fraction(_two_qubit_product_plus_zero())
-    entangled = coherence_fraction(_two_qubit_bell())
+    half = 1.0 / math.sqrt(2.0)
+    # amplitudes on 00, 01, 10, 11: (|0> + |1>)/sqrt2 on qubit 0 beside |0>, and the Bell state
+    separable = coherence_fraction(PureState(2, np.array([half, 0.0, half, 0.0], dtype=np.complex128)))
+    entangled = coherence_fraction(PureState(2, np.array([half, 0.0, 0.0, half], dtype=np.complex128)))
     incoherent = coherence_fraction_density(
         SmallDensityMatrix(np.eye(2) / 2.0)
     )

@@ -7,11 +7,14 @@ body lines. Every field is a number or a bare word, so no field needs
 RFC-4180 quoting; floats carry 17 significant digits. JSON files carry
 the same metadata under "meta", and each float as its shortest repr, as
 json.dumps writes it. Writes are atomic (temp file + rename).
+
+Every file is a frame (head, tail) around one streamed body. _json_frame
+builds each JSON frame, split at the body's placeholder _BODY; _write_late
+spools a body whose frame is known only once the body is spent.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import math
@@ -55,7 +58,7 @@ _FLOAT = "{:.17g}".format  # the text of every float written to a CSV file
 _CHUNK_ROWS = 1024  # table rows, or JSON encoder pieces, joined into one string before it is written
 _COPY_CHARS = 1 << 13  # a spooled text is read back this much at a time
 _JSON = json.JSONEncoder(sort_keys=True, indent=2)  # the spelling of every JSON document and cell
-_TRACE = "\0"  # holds the place of run's trace in its JSON text, which is spelled around it
+_BODY = "\0"  # holds the place of a file's streamed body in its JSON payload (_json_frame)
 
 
 def _fmt(value) -> str:
@@ -99,6 +102,12 @@ def _json_text(payload):
     yield "\n"
 
 
+def _json_frame(payload) -> tuple[str, str]:
+    """The frame of a JSON file: _JSON's text of payload, split where it holds _BODY."""
+    head, tail = _JSON.encode(payload).split(_JSON.encode(_BODY))
+    return head, tail + "\n"
+
+
 def _json_cell(value) -> str:
     """_JSON's text for one scalar; a finite float or an int is spelled without the encoder."""
     if type(value) is float and math.isfinite(value):
@@ -107,19 +116,19 @@ def _json_cell(value) -> str:
 
 
 # Per format: cell text, float cell text, cell separator, row joiner, and the text before the first
-# row, after the last and for none; JSON as _JSON lays out "rows" bar its "[".
+# row, after the last and for none; JSON as _JSON lays out the value of "rows".
 _Layout = namedtuple("_Layout", "cell real sep join start end empty")
 _LAYOUTS = {
     "csv": _Layout(_fmt, _FLOAT, ",", "\r\n", "", "\r\n", ""),
     "json": _Layout(_json_cell, float.__repr__, ",\n      ", "\n    ],\n    [\n      ",
-                    "\n    [\n      ", "\n    ]\n  ]", "]"),
+                    "[\n    [\n      ", "\n    ]\n  ]", "[]"),
 }
 # run's trace, the items of a list as deep in _JSON's text as a table row's cells; its brackets are _JSON's
 _TRACE_LAYOUT = _Layout(None, None, None, ",\n      ", "", "", "")
 
 
 def _body(layout: _Layout, chunks):
-    """A table's body in pieces, for _table_text: chunks, lists of row texts, joined and framed by layout."""
+    """A body in pieces: chunks, lists of row texts, joined and framed by layout."""
     opening = layout.start
     for chunk in chunks:
         yield opening + layout.join.join(chunk)
@@ -134,57 +143,45 @@ def _table_body(fmt: str, rows):
     return _body(layout, iter(lambda: list(itertools.islice(texts, _CHUNK_ROWS)), []))
 
 
-def _table_text(fmt: str, meta: dict, header: list[str], body):
-    """A table's file in pieces: the head, made of meta and header, then the body pieces as they come.
-
-    CSV: the '# key=value' prelude, the header row, the body lines. JSON:
-    _json_text({"columns": header, "meta": meta, "rows": rows}), with the
-    body pieces in place of the rows. No more than a piece is held at once.
-    """
+def _table_frame(fmt: str, meta: dict, header: list[str]) -> tuple[str, str]:
+    """A table's frame: CSV's '# key=value' prelude and header row, or JSON's columns, meta and rows."""
     if fmt == "csv":
-        yield from (f"# {key}={_fmt(meta[key])}\r\n" for key in sorted(meta))
-        yield ",".join(header) + "\r\n"
-        yield from body
-        return
-    head = _JSON.encode({"columns": header, "meta": meta})
-    yield head[: -len("\n}")] + ',\n  "rows": ['
-    yield from body
-    yield "\n}\n"
+        prelude = "".join(f"# {key}={_fmt(meta[key])}\r\n" for key in sorted(meta))
+        return prelude + ",".join(header) + "\r\n", ""
+    return _json_frame({"columns": header, "meta": meta, "rows": _BODY})
+
+
+def _write(path: str | Path | None, frame: tuple[str, str], body) -> None:
+    """Write the frame's head, the body pieces as they come and its tail: atomically to path, or to stdout."""
+    head, tail = frame
+    text = itertools.chain([head], body, [tail])
+    if path is None:
+        sys.stdout.writelines(text)
+    else:
+        _atomic_write(path, text)
+
+
+def _write_late(path: str | Path | None, frame, body) -> None:
+    """_write a file whose frame is known only once its body is spent: frame() gives it then.
+
+    The body goes as it comes to an unnamed temporary file beside path (its
+    directory made if missing), or in the system's temporary directory for
+    None, which the system deletes however the run ends. It is read back
+    _COPY_CHARS at a time, so the body is never held in memory.
+    """
+    directory = None
+    if path is not None:
+        directory = Path(path).parent
+        directory.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=directory) as spool:
+        spool.writelines(body)
+        spool.seek(0)
+        _write(path, frame(), iter(lambda: spool.read(_COPY_CHARS), ""))
 
 
 def _write_table(path: Path, fmt: str, meta: dict, header: list[str], rows) -> None:
     """Write rows, an iterable of flat rows, to the file as they come, as CSV or JSON."""
-    _atomic_write(path, _table_text(fmt, meta, header, _table_body(fmt, rows)))
-
-
-@contextlib.contextmanager
-def _spooled(pieces, beside: str | Path | None):
-    """Write the text pieces to an unnamed temporary file, then yield an iterator that reads them back.
-
-    The file goes beside the path `beside`, whose directory is made if it
-    is missing, or to the system's temporary directory for None. The system
-    deletes it however the run ends. Reads are _COPY_CHARS at a time, so
-    the text is never held in memory.
-    """
-    directory = None
-    if beside is not None:
-        directory = Path(beside).parent
-        directory.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=directory) as spool:
-        spool.writelines(pieces)
-        spool.seek(0)
-        yield iter(lambda: spool.read(_COPY_CHARS), "")
-
-
-def _write_table_then_meta(path: Path, fmt: str, header: list[str], rows, meta) -> None:
-    """Write a table whose metadata is known only once its last row is: meta() gives it then.
-
-    The body is spooled (_spooled) as the rows come. The head, the body and
-    the tail then go to path in one atomic write, so path appears whole or
-    not at all.
-    """
-    with _spooled(_table_body(fmt, rows), path) as body:
-        _atomic_write(path, _table_text(fmt, meta(), header, body))
+    _write(path, _table_frame(fmt, meta, header), _table_body(fmt, rows))
 
 
 def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], axis: list, lines) -> None:
@@ -206,7 +203,7 @@ def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], axis: lis
             while chunk := [f"{head}{x}{text}" for x, text in itertools.islice(rows, _CHUNK_ROWS)]:
                 yield chunk
 
-    _atomic_write(path, _table_text(fmt, meta, header, _body(layout, chunks())))
+    _write(path, _table_frame(fmt, meta, header), _body(layout, chunks()))
 
 
 def _meta(command: str, params: dict) -> dict:
@@ -381,8 +378,8 @@ def cmd_verify_average(args) -> int:
                 for tau, (b, c, d) in zip(taus, values):
                     yield (n, r, tau, state_id, kind, fc, b, c, d)
 
-    def meta() -> dict:
-        return _meta(
+    def frame() -> tuple[str, str]:
+        meta = _meta(
             "verify-average",
             {
                 "n": args.n, "r": args.r, "tau": args.tau, "states": args.states,
@@ -390,9 +387,10 @@ def cmd_verify_average(args) -> int:
                 "max_deviation": max_dev, "threshold": DEVIATION_THRESHOLD,
             },
         )
+        return _table_frame(args.format, meta, header)
 
     rows = (row for cell in cells for row in cell_rows(*cell))
-    _write_table_then_meta(Path(args.out), args.format, header, rows, meta)
+    _write_late(args.out, frame, _table_body(args.format, rows))
 
     ok = max_dev <= DEVIATION_THRESHOLD
     print(
@@ -462,7 +460,7 @@ def cmd_run(args) -> int:
 
     The trace is spooled as it is stepped, each value spelled as _JSON
     spells a finite float. Its final value then completes the report, which
-    _JSON spells around the trace's place.
+    _json_frame spells around the trace's place.
     """
     marked = args.marked
     try:
@@ -479,19 +477,16 @@ def cmd_run(args) -> int:
             final = chunk[-1]
             yield map(float.__repr__, chunk)
 
-    with _spooled(_body(_TRACE_LAYOUT, trace_texts()), args.out) as trace:
-        payload = {
+    def frame() -> tuple[str, str]:
+        return _json_frame({
             "meta": _meta("run", {"n": args.n, "tau": args.tau, "marked": list(marked.indices), **state_meta}),
             "initial_fc": coherence_fraction(state),
-            "report": RunReport(config, marked, final, (_TRACE,)).to_dict(),
-        }
-        head, tail = _JSON.encode(payload).split(_JSON.encode(_TRACE))
-        text = itertools.chain([head], trace, [tail, "\n"])
-        if args.out:
-            _atomic_write(Path(args.out), text)
-            print(f"run: final success {final:.6f} after tau={args.tau}; wrote {args.out}")
-        else:
-            sys.stdout.writelines(text)
+            "report": RunReport(config, marked, final, (_BODY,)).to_dict(),
+        })
+
+    _write_late(args.out or None, frame, _body(_TRACE_LAYOUT, trace_texts()))
+    if args.out:
+        print(f"run: final success {final:.6f} after tau={args.tau}; wrote {args.out}")
     return 0
 
 

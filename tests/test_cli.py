@@ -682,6 +682,29 @@ def test_a_failed_sweep_leaves_neither_table_nor_body(tmp_path, monkeypatch, fmt
     assert seen == [[]] and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_a_failed_run_leaves_neither_trace_nor_spool(tmp_path, monkeypatch, capsys, to_file):
+    seen, search_trace = [], cli.search_trace
+
+    def fail_after_the_first_list(state, marked, tau):
+        config, chunks = search_trace(state, marked, tau)
+
+        def failing():
+            yield next(chunks)
+            seen.append([p.name for p in tmp_path.iterdir()])
+            raise RuntimeError("stopped mid-trace")
+        return config, failing()
+
+    monkeypatch.setattr(cli, "search_trace", fail_after_the_first_list)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where a run to stdout spools its trace
+    out = ["--out", str(tmp_path / "run.json")] if to_file else []
+    with pytest.raises(RuntimeError, match="stopped mid-trace"):
+        main(["run", "--n", "1", "--marked", "0", "--tau", "2000", *out])
+    # the first list went to a spool that no name points to, and nothing to stdout
+    assert seen == [[]] and list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out == ""
+
+
 def test_a_random_state_is_drawn_into_its_own_vector():
     # each draw holds half a vector, one at a time, beside a few hundred bytes
     # of array and state objects; adding two drawn arrays peaked at 2.13 vectors

@@ -20,10 +20,12 @@ from groversim import (
     SearchSchedule,
     basis_state,
     closed_form_average,
+    coherence_fraction,
     equal_superposition,
     exponential_search,
     make_objective,
     minimization_success_closed_form,
+    prepare_ansatz_state,
     run_minimization,
     sample_measurement,
     threshold_marked_set,
@@ -734,3 +736,33 @@ def test_closed_form_is_the_r1_specialization():
 def test_closed_form_hand_value():
     # dim=4, one step, perfectly coherent: certain success
     assert minimization_success_closed_form(4, 1, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+# the grid was fixed before the test was first run: n = 6, r in {1, 4}, tau in {1, 3},
+# 4,000 trials per cell and a 5-sigma binomial bound, from these four starts
+_HIT_RATE_STARTS = {
+    "uniform": (equal_superposition(6), 1.0),
+    "ansatz (0.3, 1.1, 0.6)": (prepare_ansatz_state(6, LocalGateParams(0.3, 1.1, 0.6)), 0.3146),
+    "ansatz (0, 2.5, 0.7)": (prepare_ansatz_state(6, LocalGateParams(0.0, 2.5, 0.7)), 0.0),
+    "basis 5": (basis_state(6, 5), 1.0 / 64),
+}
+
+
+@pytest.mark.parametrize("start", list(_HIT_RATE_STARTS))
+@pytest.mark.parametrize("r", [1, 4])
+@pytest.mark.parametrize("tau", [1, 3])
+def test_first_attempt_hit_rate_is_the_closed_form_average(start, r, tau):
+    # a permutation objective's first round marks a uniformly random r-subset, so an
+    # attempt of tau steps hits with the all-subsets average success probability
+    n, trials = 6, 4000
+    state, fc_near = _HIT_RATE_STARTS[start]
+    fc = coherence_fraction(state)
+    assert fc == pytest.approx(fc_near, abs=1e-4)
+    sums = _StartSums.of(state.amplitudes, state.amplitude_sum)
+    rng = np.random.default_rng([n, r, tau])
+    hits = 0
+    for _ in range(trials):
+        marked = np.sort(rng.choice(2**n, size=r, replace=False)).astype(np.intp)
+        hits += _SearchRound(sums, marked).draw(tau, rng.random())[1]
+    p = closed_form_average(2**n, r, tau, fc)
+    assert abs(hits - trials * p) <= 5 * math.sqrt(trials * p * (1 - p)), (hits / trials, p)
