@@ -15,6 +15,7 @@ spools a body whose frame is known only once the body is spent.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -293,6 +294,24 @@ def _fc_grid(text: str) -> str:
     return text
 
 
+def _file_name(text: str) -> str:
+    """--out of a command that adds to the name: the path must end in a name."""
+    if not Path(text).name:
+        raise ValueError(f"must name a file, got {text!r}")
+    return text
+
+
+def _new_file(text: str) -> str:
+    """--out of a command that writes the file it names: not an existing directory."""
+    if os.path.isdir(_file_name(text)):
+        raise ValueError(f"{text!r} is a directory")
+    return text
+
+
+_out_prefix, _out_file = _flag_type(_file_name), _flag_type(_new_file)
+_out_or_stdout = _flag_type(lambda text: text and _new_file(text))  # run --out "" writes to stdout
+
+
 @_flag_type
 def _steps(text: str) -> int:
     """--tau of run: its trace holds tau + 1 values."""
@@ -342,9 +361,10 @@ def cmd_verify_average(args) -> int:
     per_cell = 2 + args.states  # the basis state, the uniform one, then the random ones
     row_count = len(cells) * per_cell * (args.tau + 1)
     _check_rows(row_count, "--n, --r, --states and --tau")
+    cap = ENUMERATION_CAP if args.cap is None else args.cap
     for n, r in cells:
         try:
-            check_enumeration_cap(2**n, r, args.cap)
+            check_enumeration_cap(2**n, r, cap)
         except EnumerationCapError as exc:
             raise ValueError(f"--cap {exc}") from None
 
@@ -383,7 +403,7 @@ def cmd_verify_average(args) -> int:
             "verify-average",
             {
                 "n": args.n, "r": args.r, "tau": args.tau, "states": args.states,
-                "seed": args.seed, "cap": args.cap, "format": args.format,
+                "seed": args.seed, "cap": cap, "format": args.format,
                 "max_deviation": max_dev, "threshold": DEVIATION_THRESHOLD,
             },
         )
@@ -597,9 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_number(int, 0), default=8, help="largest step count (sweeps 0..tau)")
     p.add_argument("--states", type=_number(int, 0), default=20, help="random initial states per cell")
     p.add_argument("--seed", type=_number(int, 0), default=0, help="base RNG seed for the random states")
-    p.add_argument("--cap", type=_number(int, 1, MAX_SUBSETS), default=ENUMERATION_CAP,
+    p.add_argument("--cap", type=_number(int, 1, MAX_SUBSETS), default=None,
                    help="subset enumeration cap")
-    p.add_argument("--out", required=True, help="output file")
+    p.add_argument("--out", type=_out_file, required=True, help="output file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_verify_average)
 
@@ -612,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated marked-set sizes")
     p.add_argument("--fc-grid", type=_fc_grid, default="0:1:101",
                    help="coherence-fraction grid start:stop:count")
-    p.add_argument("--out", required=True, help="output file")
+    p.add_argument("--out", type=_out_file, required=True, help="output file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_optimal_curves)
 
@@ -624,7 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mixing-n", type=_list_of(_qubits), default="2,3,4",
                    help="qubit counts for the mixing block")
     p.add_argument("--points", type=_points, default=101, help="grid points per axis")
-    p.add_argument("--out", required=True, help="output prefix; writes <out>_phases and <out>_mixing")
+    p.add_argument("--out", type=_out_prefix, required=True,
+                   help="output prefix; writes <out>_phases and <out>_mixing")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_ansatz_grid)
 
@@ -633,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marked", type=_marked, required=True, help="comma-separated marked indices")
     p.add_argument("--tau", type=_steps, required=True, help="number of Grover steps")
     _add_state_flags(p)
-    p.add_argument("--out", default=None, help="output JSON file (stdout when omitted)")
+    p.add_argument("--out", type=_out_or_stdout, default=None, help="output JSON file (stdout when omitted)")
     p.set_defaults(func=cmd_run)
 
     p = subs.add_parser("minimize", help="threshold-descent minimization over seeds")
@@ -650,15 +671,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial-reach", type=_field_of(SearchSchedule, "initial_reach", _float), default=1.0,
                    help="starting reach (>= 1)")
     _add_state_flags(p)
-    p.add_argument("--out", required=True, help="output prefix; writes <out>.json and <out>_summary.csv")
+    p.add_argument("--out", type=_out_prefix, required=True,
+                   help="output prefix; writes <out>.json and <out>_summary.csv")
     p.set_defaults(func=cmd_minimize)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built by the first main call and kept for every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
+    """Run the command argv names; return its exit code, 2 for a usage or input error.
+
+    Every call in a process parses with one parser, built on the first call.
+    Sharing it is safe: parse_args makes a new Namespace per call, and each
+    flag converter keeps no state and reads what it checks against (module
+    globals such as ENUMERATION_CAP, the file system for --out) when it is
+    called. The one value fixed when the parser is built is --cap's maximum,
+    MAX_SUBSETS, a constant; --cap's default, ENUMERATION_CAP, is read by the
+    command, so a patched cap is not kept past its patch.
+    """
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except argparse.ArgumentError as exc:
         message = " ".join(filter(None, (exc.argument_name, exc.message)))

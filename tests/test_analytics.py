@@ -24,6 +24,7 @@ from groversim import (
     optimal_iterations,
     rewritten_optimal_average,
 )
+from groversim import kernels
 from conftest import random_state
 
 
@@ -94,6 +95,31 @@ def test_closed_form_matches_brute_force(seed):
     brute = average_over_all_sets(psi, r, tau)
     closed = closed_form_average(2**n, r, tau, coherence_fraction(psi))
     assert brute == pytest.approx(closed, abs=1e-12)
+
+
+def _blind_cells():
+    """(n, r) at n <= 6 for every r whose C(N, r) subsets number at most 5 * 10**4."""
+    return [(n, r) for n in range(1, 7) for r in range(1, 2**n + 1) if math.comb(2**n, r) <= 5 * 10**4]
+
+
+def test_a_basis_state_averages_the_blind_guess_rate_at_every_step():
+    # f_c = 1/N makes the (N f_c - 1) factor of P_ave - r/N vanish: Grover steps neither help nor hurt
+    for n, r in _blind_cells():
+        dim = 2**n
+        brute = kernels.average_trajectory(basis_state(n).amplitudes, r, 12)
+        np.testing.assert_allclose(brute, r / dim, rtol=0, atol=1e-12, err_msg=f"n={n}, r={r}")
+        for tau in range(13):
+            assert closed_form_average(dim, r, tau, 1 / dim) == pytest.approx(r / dim, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fc", [0.0, 0.3, 0.5, 0.9, 1.0])
+def test_the_average_less_the_blind_rate_factors_through_n_fc_minus_one(fc):
+    # P_ave - r/N = (N f_c - 1)(sin^2(vartheta) - r/N)/(N - 1), as the README states it
+    for dim, r in [(4, 1), (8, 3), (32, 2), (1024, 1000)]:
+        for tau in range(9):
+            s2 = math.sin(mixing_angle(dim, r) * (tau + 0.5)) ** 2
+            want = (dim * fc - 1) * (s2 - r / dim) / (dim - 1)
+            assert closed_form_average(dim, r, tau, fc) - r / dim == pytest.approx(want, rel=0, abs=1e-14)
 
 
 def test_optimal_iteration_counts():

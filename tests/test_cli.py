@@ -172,8 +172,8 @@ def test_run_streams_its_trace(tmp_path, capsys):
 def _run_peak(tau: int, out: Path) -> int:
     """tracemalloc's peak over one `run` to a file at n = 1 with tau steps.
 
-    The cycle collector is off meanwhile: left on, it frees the run's own
-    cyclic garbage (the argument parser) at a point that moves with tau.
+    The cycle collector is off meanwhile: left on, it frees cyclic garbage
+    at a point that moves with tau.
     """
     import gc
     import tracemalloc
@@ -350,6 +350,41 @@ def test_bad_values_name_their_flag(tmp_path, capsys, command, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+# the functions that do each command's work, stubbed where no work may be done
+WORK = ("average_trajectories", "optimal_average", "_phase_plane_rows", "optimal_success_vs_mixing",
+        "search_trace", "make_objective", "_minimizations")
+
+
+@pytest.mark.parametrize("command, out, says", [
+    (["verify-average", "--n", "1", "--r", "1", "--tau", "2", "--states", "1"], "", "must name a file, got ''"),
+    (["optimal-curves"], "", "must name a file, got ''"),
+    (["ansatz-grid"], "", "must name a file, got ''"),
+    (["minimize"], "", "must name a file, got ''"),
+    (["run", "--n", "1", "--marked", "0", "--tau", "1"], "/", "must name a file, got '/'"),
+    (["verify-average", "--n", "1", "--r", "1", "--tau", "2", "--states", "1"], "d", "'d' is a directory"),
+    (["optimal-curves"], "d", "'d' is a directory"),
+    (["run", "--n", "1", "--marked", "0", "--tau", "1"], "d", "'d' is a directory"),
+])
+def test_bad_out_names_the_flag(tmp_path, monkeypatch, capsys, command, out, says):
+    # refused when parsed: a command once did all its work, then failed to write with a message naming no flag
+    ran = []
+    for name in WORK:
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: ran.append(name))
+    monkeypatch.chdir(tmp_path)
+    Path("d").mkdir()
+    assert main(command + ["--out", out]) == 2
+    assert capsys.readouterr().err == f"error: --out {says}\n"
+    assert ran == [] and [p.name for p in tmp_path.iterdir()] == ["d"] and list(Path("d").iterdir()) == []
+
+
+def test_run_with_an_empty_out_prints_its_report(capsys):
+    argv = ["run", "--n", "1", "--marked", "0", "--tau", "3"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", ""]) == 0
+    assert capsys.readouterr().out == printed
+
+
 @pytest.mark.parametrize("command", [
     [],
     ["frobnicate"],
@@ -379,7 +414,8 @@ def _typed_actions():
     ]
 
 
-@pytest.mark.parametrize("command, flag", [(c, a.option_strings[0]) for c, a in _typed_actions()])
+# "x" is a good output path, so --out is left to test_bad_out_names_the_flag
+@pytest.mark.parametrize("command, flag", [(c, a.option_strings[0]) for c, a in _typed_actions() if a.dest != "out"])
 def test_every_typed_flag_rejects_a_non_number(tmp_path, capsys, command, flag):
     argv = [command, *REQUIRED.get(command, []), flag, "x", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
@@ -739,3 +775,56 @@ def test_ansatz_grid_body_is_the_public_plane_cell_by_cell(tmp_path):
     )
     text = (tmp_path / "g_phases.csv").read_bytes().decode()
     assert text.endswith("n,alpha,beta,p\r\n" + expected)
+
+
+def test_a_warm_main_builds_no_parser(tmp_path, monkeypatch):
+    # building the parser cost more than a small run itself: 0.65-0.9 ms against 0.3 ms
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    argv = ["run", "--n", "1", "--marked", "0", "--tau", "1", "--out", str(tmp_path / "run.json")]
+    assert main(argv) == 0
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert main(argv) == 0
+    assert main(["run", "--n", "21", "--marked", "0", "--tau", "1"]) == 2
+    assert built == []
+    build_parser()
+    assert len(built) == 6  # the command parser and one per subcommand
+
+
+def test_one_parser_outlives_errors_and_help(tmp_path, capsys):
+    golden = Path(__file__).parent / "golden" / "run-uniform" / "run.json"
+    assert main(["frobnicate"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--help"])
+    assert excinfo.value.code == 0
+    assert main(["run", "--n", "x", "--marked", "1", "--tau", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: groversim run ")
+    usage, bad_n = captured.err.splitlines()
+    assert usage.startswith("error: command invalid choice: ") and bad_n == "error: --n 'x' is not an int"
+    out = tmp_path / "run.json"
+    assert main(["run", "--n", "3", "--marked", "1,5", "--tau", "4", "--uniform", "--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_build_parser_returns_a_new_parser():
+    first, second = build_parser(), build_parser()
+    assert first is not second and cli._parser() not in (first, second)
+    assert cli._parser() is cli._parser()
+
+
+def test_a_patched_cap_is_not_kept_by_the_shared_parser(tmp_path, monkeypatch):
+    # --cap's default is read per call, so a parser first built under a patched cap does not keep it
+    argv = ["verify-average", "--n", "2", "--r", "1", "--tau", "0", "--states", "0", "--out", str(tmp_path / "v.csv")]
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", 11)
+    assert main(argv) == 0
+    assert read_csv(tmp_path / "v.csv")[0]["cap"] == "11"
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert read_csv(tmp_path / "v.csv")[0]["cap"] == "10000000"

@@ -100,6 +100,17 @@ def test_cli_output_matches_golden(tmp_path, monkeypatch, case):
         assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
 
 
+def test_every_case_twice_in_one_process_in_either_order(tmp_path, monkeypatch):
+    # one parser serves every main call in a process, so no call may leave state that moves a later output
+    monkeypatch.chdir(INPUTS)
+    forward = sorted(CASES)
+    for turn, cases in enumerate([forward, forward[::-1]]):
+        for case in cases:
+            out = tmp_path / f"{turn}-{case}"
+            for name in _run_case(case, out):
+                assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), (turn, case, name)
+
+
 @pytest.mark.parametrize("case", ["run-uniform", "run-ansatz"])
 def test_run_prints_the_bytes_it_would_write(capsys, case):
     argv, (name,) = CASES[case]
