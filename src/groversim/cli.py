@@ -80,8 +80,6 @@ def _atomic_write(path: Path, chunks) -> None:
     The file is created with mode 0666 and the kernel takes the umask off,
     so it gets the mode open() would give path itself.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -97,7 +95,7 @@ def _atomic_write(path: Path, chunks) -> None:
 
 
 def _json_text(payload):
-    """A JSON file in pieces: _JSON's, _CHUNK_ROWS to a piece, so python -u's stdout is not written per number."""
+    """A JSON file in pieces: _JSON's, _CHUNK_ROWS to a piece, as one write costs more than one join."""
     pieces = _JSON.iterencode(payload)
     yield from iter(lambda: "".join(itertools.islice(pieces, _CHUNK_ROWS)), "")
     yield "\n"
@@ -152,7 +150,7 @@ def _table_frame(fmt: str, meta: dict, header: list[str]) -> tuple[str, str]:
     return _json_frame({"columns": header, "meta": meta, "rows": _BODY})
 
 
-def _write(path: str | Path | None, frame: tuple[str, str], body) -> None:
+def _write(path: Path | None, frame: tuple[str, str], body) -> None:
     """Write the frame's head, the body pieces as they come and its tail: atomically to path, or to stdout."""
     head, tail = frame
     text = itertools.chain([head], body, [tail])
@@ -162,19 +160,14 @@ def _write(path: str | Path | None, frame: tuple[str, str], body) -> None:
         _atomic_write(path, text)
 
 
-def _write_late(path: str | Path | None, frame, body) -> None:
+def _write_late(path: Path | None, frame, body) -> None:
     """_write a file whose frame is known only once its body is spent: frame() gives it then.
 
-    The body goes as it comes to an unnamed temporary file beside path (its
-    directory made if missing), or in the system's temporary directory for
-    None, which the system deletes however the run ends. It is read back
-    _COPY_CHARS at a time, so the body is never held in memory.
+    The body goes as it comes to an unnamed temporary file beside path, or in the system's
+    temporary directory for None, which the system deletes however the run ends. It is read
+    back _COPY_CHARS at a time, so the body is never held in memory.
     """
-    directory = None
-    if path is not None:
-        directory = Path(path).parent
-        directory.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=directory) as spool:
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=path and path.parent) as spool:
         spool.writelines(body)
         spool.seek(0)
         _write(path, frame(), iter(lambda: spool.read(_COPY_CHARS), ""))
@@ -294,22 +287,31 @@ def _fc_grid(text: str) -> str:
     return text
 
 
-def _file_name(text: str) -> str:
-    """--out of a command that adds to the name: the path must end in a name."""
-    if not Path(text).name:
+@_flag_type
+def _out(text: str) -> str:
+    """--out: a path that ends in a name. Its command checks the files it makes of it (_outputs)."""
+    if Path(text).name in ("", ".."):
         raise ValueError(f"must name a file, got {text!r}")
     return text
 
 
-def _new_file(text: str) -> str:
-    """--out of a command that writes the file it names: not an existing directory."""
-    if os.path.isdir(_file_name(text)):
-        raise ValueError(f"{text!r} is a directory")
-    return text
+_out_or_stdout = _flag_type(lambda text: _out(text) if text else None)  # run --out "" writes to stdout
 
 
-_out_prefix, _out_file = _flag_type(_file_name), _flag_type(_new_file)
-_out_or_stdout = _flag_type(lambda text: text and _new_file(text))  # run --out "" writes to stdout
+def _outputs(out: str, *suffixes: str) -> list[Path]:
+    """The files out names with each suffix ("" for out itself), none a directory, their directory made.
+
+    Each command that writes files calls it once, after its input checks and before any work.
+    """
+    base = Path(out)
+    paths = [base.with_name(base.name + suffix) for suffix in suffixes]
+    if directory := next(filter(Path.is_dir, paths), None):
+        raise ValueError(f"--out {str(directory)!r} is a directory")
+    try:
+        base.parent.mkdir(parents=True, exist_ok=True)  # the one place a directory is made
+    except OSError as exc:  # mkdir names the path it could not make
+        raise ValueError(f"--out cannot make directory {exc.filename!r}: {exc.strerror}") from None
+    return paths
 
 
 @_flag_type
@@ -367,6 +369,7 @@ def cmd_verify_average(args) -> int:
             check_enumeration_cap(2**n, r, cap)
         except EnumerationCapError as exc:
             raise ValueError(f"--cap {exc}") from None
+    (path,) = _outputs(args.out, "")
 
     header = ["n", "r", "tau", "state_id", "state_kind", "fc", "brute", "closed", "deviation"]
     taus = range(args.tau + 1)
@@ -410,7 +413,7 @@ def cmd_verify_average(args) -> int:
         return _table_frame(args.format, meta, header)
 
     rows = (row for cell in cells for row in cell_rows(*cell))
-    _write_late(args.out, frame, _table_body(args.format, rows))
+    _write_late(path, frame, _table_body(args.format, rows))
 
     ok = max_dev <= DEVIATION_THRESHOLD
     print(
@@ -429,6 +432,7 @@ def cmd_optimal_curves(args) -> int:
     start, stop, count = _grid_spec(args.fc_grid)
     rows = len(args.r) * count
     _check_rows(rows, "--r with --fc-grid")
+    (path,) = _outputs(args.out, "")
     fc_grid = np.linspace(start, stop, count)
 
     meta = _meta(
@@ -437,7 +441,7 @@ def cmd_optimal_curves(args) -> int:
     )
     real = _LAYOUTS[args.format].real
     _write_curves(
-        Path(args.out), args.format, meta, ["r", "fc", "p_opt"], fc_grid.tolist(),
+        path, args.format, meta, ["r", "fc", "p_opt"], fc_grid.tolist(),
         (((r,), map(real, optimal_average(dim, r, fc_grid).tolist())) for r in args.r),
     )
     print(f"optimal-curves: wrote {rows} rows for N={dim}, r in {args.r}")
@@ -448,12 +452,10 @@ def cmd_ansatz_grid(args) -> int:
     """Two gridded slices of the ansatz optimum: phase plane and mixing angle."""
     mixing_rows = len(args.mixing_n) * args.points
     _check_rows(mixing_rows, "--mixing-n with --points")
+    phases_path, mixing_path = _outputs(args.out, f"_phases.{args.format}", f"_mixing.{args.format}")
     phase_axis = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False).tolist()
     theta_axis = np.linspace(0.0, math.pi / 2.0, args.points).tolist()
 
-    base = Path(args.out)
-    phases_path = base.with_name(base.name + f"_phases.{args.format}")
-    mixing_path = base.with_name(base.name + f"_mixing.{args.format}")
     common = {"points": args.points, "format": args.format}
     real = _LAYOUTS[args.format].real
     _write_curves(
@@ -488,6 +490,7 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--marked {exc}") from None
     state, state_meta = _start_state(args, args.n)
+    (path,) = _outputs(args.out, "") if args.out else (None,)
     config, chunks = search_trace(state, marked, args.tau)
     final = math.nan
 
@@ -504,8 +507,8 @@ def cmd_run(args) -> int:
             "report": RunReport(config, marked, final, (_BODY,)).to_dict(),
         })
 
-    _write_late(args.out or None, frame, _body(_TRACE_LAYOUT, trace_texts()))
-    if args.out:
+    _write_late(path, frame, _body(_TRACE_LAYOUT, trace_texts()))
+    if path:
         print(f"run: final success {final:.6f} after tau={args.tau}; wrote {args.out}")
     return 0
 
@@ -531,6 +534,7 @@ def cmd_minimize(args) -> int:
         max_oracle_calls=args.budget,
     )
     prep, state_meta = _start_state(args, table.n)
+    json_path, csv_path = _outputs(args.out, ".json", "_summary.csv")
 
     reports = _minimizations(table, prep, schedule, args.seeds)
     true_min = float(table.values.min())
@@ -552,9 +556,6 @@ def cmd_minimize(args) -> int:
         "success_rate": rate,
         "reports": [rep.to_dict() for rep in reports],
     }
-    base = Path(args.out)
-    json_path = base.with_name(base.name + ".json")
-    csv_path = base.with_name(base.name + "_summary.csv")
     _atomic_write(json_path, _json_text(payload))
 
     rows = [
@@ -619,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_number(int, 0), default=0, help="base RNG seed for the random states")
     p.add_argument("--cap", type=_number(int, 1, MAX_SUBSETS), default=None,
                    help="subset enumeration cap")
-    p.add_argument("--out", type=_out_file, required=True, help="output file")
+    p.add_argument("--out", type=_out, required=True, help="output file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_verify_average)
 
@@ -632,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated marked-set sizes")
     p.add_argument("--fc-grid", type=_fc_grid, default="0:1:101",
                    help="coherence-fraction grid start:stop:count")
-    p.add_argument("--out", type=_out_file, required=True, help="output file")
+    p.add_argument("--out", type=_out, required=True, help="output file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_optimal_curves)
 
@@ -644,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mixing-n", type=_list_of(_qubits), default="2,3,4",
                    help="qubit counts for the mixing block")
     p.add_argument("--points", type=_points, default=101, help="grid points per axis")
-    p.add_argument("--out", type=_out_prefix, required=True,
+    p.add_argument("--out", type=_out, required=True,
                    help="output prefix; writes <out>_phases and <out>_mixing")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_ansatz_grid)
@@ -671,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial-reach", type=_field_of(SearchSchedule, "initial_reach", _float), default=1.0,
                    help="starting reach (>= 1)")
     _add_state_flags(p)
-    p.add_argument("--out", type=_out_prefix, required=True,
+    p.add_argument("--out", type=_out, required=True,
                    help="output prefix; writes <out>.json and <out>_summary.csv")
     p.set_defaults(func=cmd_minimize)
 
@@ -687,13 +688,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run the command argv names; return its exit code, 2 for a usage or input error.
 
-    Every call in a process parses with one parser, built on the first call.
-    Sharing it is safe: parse_args makes a new Namespace per call, and each
-    flag converter keeps no state and reads what it checks against (module
-    globals such as ENUMERATION_CAP, the file system for --out) when it is
-    called. The one value fixed when the parser is built is --cap's maximum,
-    MAX_SUBSETS, a constant; --cap's default, ENUMERATION_CAP, is read by the
-    command, so a patched cap is not kept past its patch.
+    Every call in a process parses with one parser, built on the first call. Sharing
+    it is safe: parse_args makes a new Namespace per call, and each flag converter
+    keeps no state and reads what it checks against (module globals such as
+    ENUMERATION_CAP) when it is called. The one value fixed when the parser is built
+    is --cap's maximum, MAX_SUBSETS, a constant; --cap's default, ENUMERATION_CAP,
+    is read by the command, so a patched cap is not kept past its patch.
     """
     try:
         args = _parser().parse_args(argv)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -218,8 +219,9 @@ def grover_iterate(state: PureState, marked: MarkedSet, tau: int) -> PureState:
 
 
 def success_probability(initial: PureState, marked: MarkedSet, tau: int) -> float:
-    """Probability of measuring a marked index after tau steps."""
-    return run_search(initial, marked, tau).final_success
+    """Probability of measuring a marked index after tau steps; the steps before it are not kept."""
+    _, chunks = search_trace(initial, marked, tau)
+    return deque(chunks, maxlen=1)[0][-1]
 
 
 def run_search(initial: PureState, marked: MarkedSet, tau: int) -> RunReport:

@@ -350,31 +350,47 @@ def test_bad_values_name_their_flag(tmp_path, capsys, command, flag):
     assert list(tmp_path.iterdir()) == []
 
 
-# the functions that do each command's work, stubbed where no work may be done
+# the functions that do each command's work, stubbed where no work may be done; minimize checks --out
+# once its objective is loaded, as its angle flags are checked against the objective's qubit count
 WORK = ("average_trajectories", "optimal_average", "_phase_plane_rows", "optimal_success_vs_mixing",
-        "search_trace", "make_objective", "_minimizations")
+        "search_trace", "_minimizations")
+VERIFY = ["verify-average", "--n", "1", "--r", "1", "--tau", "2", "--states", "1"]
+RUN = ["run", "--n", "1", "--marked", "0", "--tau", "1"]
 
 
 @pytest.mark.parametrize("command, out, says", [
-    (["verify-average", "--n", "1", "--r", "1", "--tau", "2", "--states", "1"], "", "must name a file, got ''"),
+    (VERIFY, "", "must name a file, got ''"),
     (["optimal-curves"], "", "must name a file, got ''"),
     (["ansatz-grid"], "", "must name a file, got ''"),
     (["minimize"], "", "must name a file, got ''"),
-    (["run", "--n", "1", "--marked", "0", "--tau", "1"], "/", "must name a file, got '/'"),
-    (["verify-average", "--n", "1", "--r", "1", "--tau", "2", "--states", "1"], "d", "'d' is a directory"),
+    (RUN, "/", "must name a file, got '/'"),
+    (VERIFY, "d", "'d' is a directory"),
     (["optimal-curves"], "d", "'d' is a directory"),
-    (["run", "--n", "1", "--marked", "0", "--tau", "1"], "d", "'d' is a directory"),
+    (RUN, "d", "'d' is a directory"),
+    (["ansatz-grid"], "d/..", "must name a file, got 'd/..'"),
+    (["minimize"], "d/..", "must name a file, got 'd/..'"),
+    (["ansatz-grid"], "g", "'g_phases.csv' is a directory"),
+    (["minimize"], "mini", "'mini.json' is a directory"),
+    # the parent is a file: once every command did all its work before this failed, naming no flag
+    (VERIFY, "f/x", "cannot make directory 'f': File exists"),
+    (["optimal-curves"], "f/x", "cannot make directory 'f': File exists"),
+    (["ansatz-grid"], "f/g", "cannot make directory 'f': File exists"),
+    (RUN, "f/x", "cannot make directory 'f': File exists"),
+    (["minimize"], "f/mini", "cannot make directory 'f': File exists"),
 ])
 def test_bad_out_names_the_flag(tmp_path, monkeypatch, capsys, command, out, says):
-    # refused when parsed: a command once did all its work, then failed to write with a message naming no flag
+    # refused before any work: a command once did all its work, then failed to write with a message naming no flag
     ran = []
     for name in WORK:
         monkeypatch.setattr(cli, name, lambda *a, name=name, **k: ran.append(name))
     monkeypatch.chdir(tmp_path)
-    Path("d").mkdir()
+    for directory in ("d", "g_phases.csv", "mini.json"):
+        Path(directory).mkdir()
+    Path("f").write_text("")
+    tree = sorted(tmp_path.rglob("*"))
     assert main(command + ["--out", out]) == 2
     assert capsys.readouterr().err == f"error: --out {says}\n"
-    assert ran == [] and [p.name for p in tmp_path.iterdir()] == ["d"] and list(Path("d").iterdir()) == []
+    assert ran == [] and sorted(tmp_path.rglob("*")) == tree
 
 
 def test_run_with_an_empty_out_prints_its_report(capsys):

@@ -766,3 +766,21 @@ def test_first_attempt_hit_rate_is_the_closed_form_average(start, r, tau):
         hits += _SearchRound(sums, marked).draw(tau, rng.random())[1]
     p = closed_form_average(2**n, r, tau, fc)
     assert abs(hits - trials * p) <= 5 * math.sqrt(trials * p * (1 - p)), (hits / trials, p)
+
+
+# the grid and the bound were fixed before the test was first run: the uniform start, permutation
+# objectives 0-3 with seeds 0-99 each, n in {6, 8, 10, 12}; the bound is Durr and Hoyer's
+# (quant-ph/9607014) for growth in (1, 4/3] (BBHT, quant-ph/9605034)
+@pytest.mark.parametrize("growth", [6 / 5, 4 / 3])
+def test_mean_oracle_calls_stay_under_the_durr_hoyer_bound(growth):
+    schedule = SearchSchedule(growth=growth)
+    for n in (6, 8, 10, 12):
+        dim = 2**n
+        calls = [
+            rep.oracle_calls_used
+            for objective_seed in range(4)
+            for rep in _minimizations(make_objective("permutation", n, objective_seed),
+                                      equal_superposition(n), schedule, range(100))
+        ]
+        mean = sum(calls) / len(calls)
+        assert mean < 22.5 * math.sqrt(dim) + 1.4 * math.log2(dim) ** 2, (n, mean)

@@ -163,6 +163,21 @@ def test_success_is_global_phase_invariant(seed, phase):
     )
 
 
+def test_success_probability_keeps_no_trace():
+    # it once built run_search's whole trace to return its last value: 3.2 MiB traced at tau = 10**5
+    import tracemalloc
+
+    psi, m, tau = equal_superposition(1), MarkedSet((0,)), 100_000
+    tracemalloc.start()
+    try:
+        p = success_probability(psi, m, tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert p == run_search(psi, m, tau).final_success
+
+
 def test_run_search_records_every_step(rng):
     psi = random_state(3, rng)
     m = MarkedSet((1, 6))
