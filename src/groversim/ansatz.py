@@ -141,13 +141,14 @@ def _c_powu(pr, pi, n: int):
         pr, pi = pr * pr - pi * pi, pr * pi + pi * pr
 
 
-def _phase_plane_rows(n: int, phases, convert):
-    """The rows of optimal_success_phase_plane, each value passed through convert.
+def _phase_plane_rows(n: int, phases):
+    """The rows of optimal_success_phase_plane, by blocks of rows.
 
-    Yields one list per phase a, in order. The powers are taken in float64
-    arrays by blocks of at most _PLANE_BLOCK_CELLS cells, and convert is
-    called once per distinct value of the plane, so a caller that formats
-    the values formats each one once.
+    Yields (values, index) per block, in order: the block's distinct values,
+    ascending, as a float64 array, and for each of its rows and each phase b
+    the place in values of the row's value at b. The powers are taken in
+    float64 arrays by blocks of at most _PLANE_BLOCK_CELLS cells, so a caller
+    that formats the values formats each block's distinct values once.
     """
     n = check_qubit_count(n)
     phases = [float(value) for value in phases]
@@ -158,18 +159,12 @@ def _phase_plane_rows(n: int, phases, convert):
     im = np.array([e.imag for e in exps])
     rows = max(1, _PLANE_BLOCK_CELLS // max(len(exps), 1))
     quarter_n = 4**n
-    converted = {}  # |(ea + eb)^n| -> convert(|(ea + eb)^n|^2 / 4^n)
     for start in range(0, len(exps), rows):
         real, imag = _c_powu(re[start : start + rows, None] + re, im[start : start + rows, None] + im, n)
         h = np.hypot(real, imag)  # abs(complex) is hypot
-        distinct, inverse = np.unique(h.ravel(), return_inverse=True)
-        distinct = distinct.tolist()
-        for x in distinct:
-            if x not in converted:
-                converted[x] = convert(x**2 / quarter_n)
-        values = [converted[x] for x in distinct]
-        for line in inverse.reshape(h.shape).tolist():
-            yield [values[c] for c in line]
+        distinct, index = np.unique(h.ravel(), return_inverse=True)
+        # the Python float h ** 2 / 4**n, as the pointwise function takes it
+        yield np.array([x**2 / quarter_n for x in distinct.tolist()]), index.reshape(h.shape)
 
 
 def optimal_success_phase_plane(n: int, phases) -> list[list[float]]:
@@ -179,7 +174,11 @@ def optimal_success_phase_plane(n: int, phases) -> list[list[float]]:
     in one array pass by blocks of rows (_phase_plane_rows); every value
     equals the pointwise one bit for bit.
     """
-    return list(_phase_plane_rows(n, phases, float))
+    plane = []
+    for values, index in _phase_plane_rows(n, phases):
+        # an object array of the block's floats: take gives each row its floats with no int per cell
+        plane += np.array(values.tolist(), dtype=object).take(index).tolist()
+    return plane
 
 
 def optimal_success_vs_mixing(n: int, theta: float) -> float:

@@ -10,7 +10,9 @@ json.dumps writes it. Writes are atomic (temp file + rename).
 
 Every file is a frame (head, tail) around one streamed body. _json_frame
 builds each JSON frame, split at the body's placeholder _BODY; _write_late
-spools a body whose frame is known only once the body is spent.
+spools a body whose frame is known only once the body is spent. The curve
+tables are spelled from numpy arrays: _spell gives _FLOAT's text of a whole
+float64 column, and _write_curves builds each block of rows as one byte matrix.
 """
 from __future__ import annotations
 
@@ -57,9 +59,104 @@ from .states import PureState, basis_state, check_qubit_count, equal_superpositi
 DEVIATION_THRESHOLD = 1e-10
 _FLOAT = "{:.17g}".format  # the text of every float written to a CSV file
 _CHUNK_ROWS = 1024  # table rows, or JSON encoder pieces, joined into one string before it is written
+_SPELL_ROWS = 8 * _CHUNK_ROWS  # curve values spelled at once (_write_curves), so no whole column of texts is held
+_CELL_WIDTH = 24  # the longest text of a float64, as _FLOAT or repr spells it: "-2.2250738585072014e-308"
 _COPY_CHARS = 1 << 13  # a spooled text is read back this much at a time
 _JSON = json.JSONEncoder(sort_keys=True, indent=2)  # the spelling of every JSON document and cell
 _BODY = "\0"  # holds the place of a file's streamed body in its JSON payload (_json_frame)
+
+
+# _spell's constants. A value x in [1e-4, 1) has the decimal exponent e = -4 + the number of
+# _DECADES at or below x: each is the double just above its power of ten, so no double lies
+# between the two. _SCALES[e + 4] = 10**(16 - e), an exact double.
+_DECADES = np.array([1e-3, 1e-2, 1e-1])
+_SCALES = np.array([1e20, 1e19, 1e18, 1e17])
+_SPLITTER = 2.0**27 + 1  # Veltkamp's constant: a double splits into two halves of at most 26 bits
+
+
+def _split(a):
+    """Veltkamp's split of a float64 array: (hi, lo) with a == hi + lo exactly."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _text_cells(texts) -> np.ndarray:
+    """The ASCII texts as the rows of a NUL-padded uint8 matrix, as wide as the longest."""
+    cells = np.array(texts, dtype=np.bytes_)
+    return cells.view(np.uint8).reshape(len(cells), cells.itemsize)
+
+
+def _texts(spell, values: np.ndarray, kept: dict | None) -> list[str]:
+    """spell(value) for each value of a float64 array.
+
+    With kept, a dict the caller holds, each text is kept there by its
+    value's bits, and a value met again is not spelled again.
+    """
+    if kept is None:
+        return list(map(spell, values.tolist()))
+    keys = values.view(np.int64).tolist()
+    if missing := set(keys).difference(kept):
+        bits = np.fromiter(missing, dtype=np.int64, count=len(missing))
+        kept.update(zip(bits.tolist(), map(spell, bits.view(np.float64).tolist())))
+    return list(map(kept.__getitem__, keys))
+
+
+def _spell(values, kept: dict | None = None) -> np.ndarray:
+    """_FLOAT's text of each value of a float64 array, as the rows of a NUL-padded uint8 matrix.
+
+    On [1e-4, 1) the text is "0.", the exponent's leading zeros and the 17
+    digits D = round(x * 10**(16 - e)), without trailing zeros. The product
+    is formed exactly as hi + lo (Dekker's error-free product); above 2**53,
+    hi is an even integer, so D = hi + rint(lo), and rint's ties to even are
+    _FLOAT's ties to even. Every other value, and a D that rounds up to 18
+    digits, is spelled by _FLOAT itself, through _texts with kept. The
+    matrix is 22 bytes wide, or as wide as the widest of those texts.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    fast = (x >= 1e-4) & (x < 1.0)
+    v = np.where(fast, x, 0.5)
+    decade = np.searchsorted(_DECADES, v, side="right")  # e + 4
+    scale = _SCALES[decade]
+    hi = v * scale
+    (v_hi, v_lo), (scale_hi, scale_lo) = _split(v), _split(scale)
+    lo = ((v_hi * scale_hi - hi) + v_hi * scale_lo + v_lo * scale_hi) + v_lo * scale_lo
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    fast &= digits < 10**17
+    # The text as columns: "0.", three places for the leading zeros, then the 17 digits, taken
+    # from the end of D's two 9-digit halves into rows 4 to 21; row 4 gets the first half's 0.
+    count = x.size
+    text = np.empty((22, count), dtype=np.uint8)
+    halves = np.empty((2, count), dtype=np.uint32)
+    halves[0] = digits // 10**9
+    halves[1] = digits - halves[0] * np.int64(10**9)
+    places = text[4:].reshape(2, 9, count)
+    for place in range(8, -1, -1):
+        tens = halves // 10
+        places[:, place] = halves - tens * 10
+        halves = tens
+    # a digit is kept when it or a digit after it is not 0: trailing zeros become NUL
+    rest = np.empty((17, count), dtype=np.uint8)  # the largest digit from each place to the end
+    rest[16] = text[21]
+    for row in range(15, -1, -1):
+        np.maximum(rest[row + 1], text[5 + row], out=rest[row])
+    text[5:] += ord("0")
+    text[5:] *= rest != 0
+    text[0], text[1] = ord("0"), ord(".")
+    np.multiply(np.arange(3)[:, None] < 3 - decade, ord("0"), out=text[2:5], casting="unsafe")
+    cells = np.ascontiguousarray(text.T)
+    if (others := np.flatnonzero(~fast)).size:
+        spelled = _text_cells(_texts(_FLOAT, x[others], kept))
+        if spelled.shape[1] > cells.shape[1]:
+            cells = np.pad(cells, ((0, 0), (0, spelled.shape[1] - cells.shape[1])))
+        cells[others] = 0
+        cells[others, : spelled.shape[1]] = spelled
+    return cells
+
+
+def _repr_cells(values, kept: dict | None = None) -> np.ndarray:
+    """float.__repr__ of each value of a float64 array, through _texts with kept, laid out as _spell's."""
+    return _text_cells(_texts(float.__repr__, np.ascontiguousarray(values, dtype=np.float64), kept))
 
 
 def _fmt(value) -> str:
@@ -114,12 +211,13 @@ def _json_cell(value) -> str:
     return int.__repr__(value) if type(value) is int else _JSON.encode(value)
 
 
-# Per format: cell text, float cell text, cell separator, row joiner, and the text before the first
-# row, after the last and for none; JSON as _JSON lays out the value of "rows".
-_Layout = namedtuple("_Layout", "cell real sep join start end empty")
+# Per format: cell text, the texts of a float64 array as a byte matrix (_spell), cell separator, row
+# joiner, and the text before the first row, after the last and for none; JSON as _JSON lays out
+# the value of "rows".
+_Layout = namedtuple("_Layout", "cell reals sep join start end empty")
 _LAYOUTS = {
-    "csv": _Layout(_fmt, _FLOAT, ",", "\r\n", "", "\r\n", ""),
-    "json": _Layout(_json_cell, float.__repr__, ",\n      ", "\n    ],\n    [\n      ",
+    "csv": _Layout(_fmt, _spell, ",", "\r\n", "", "\r\n", ""),
+    "json": _Layout(_json_cell, _repr_cells, ",\n      ", "\n    ],\n    [\n      ",
                     "[\n    [\n      ", "\n    ]\n  ]", "[]"),
 }
 # run's trace, the items of a list as deep in _JSON's text as a table row's cells; its brackets are _JSON's
@@ -178,24 +276,54 @@ def _write_table(path: Path, fmt: str, meta: dict, header: list[str], rows) -> N
     _write(path, _table_frame(fmt, meta, header), _table_body(fmt, rows))
 
 
-def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], axis: list, lines) -> None:
-    """Write the rows (*prefix, x, value) of a curve table, x running along axis.
+def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], prefixes: list, axis: np.ndarray,
+                  blocks) -> None:
+    """Write the rows (*prefix, x, value) of a curve table: per prefix, a line of rows with x running along axis.
 
-    Each line is (prefix, texts): its values in axis order, each spelled by
-    the caller with the format's _LAYOUTS[fmt].real, so a table whose values
-    repeat (the phase plane) can spell each distinct value once. A curve
-    table is a product of axes, so each axis value and each prefix is
-    spelled once per table, not once per row.
+    blocks gives the values of the rows in order, as (values, index) for the
+    next index.size rows, each taking values[index] (index in row order), or
+    (values, None) for the next len(values) rows. Each block's values are
+    spelled once by the format's reals: a table whose values repeat (the
+    phase plane) passes each block's distinct values with an index, and the
+    texts formatted one by one for such blocks are kept for the whole table.
+    A block without an index is spelled _SPELL_ROWS values at a time. The
+    prefixes and the axis are spelled once per table.
+
+    Rows are built _CHUNK_ROWS at a time as one NUL-padded byte matrix, each
+    row its joiner, prefix cells, axis cell, separator and value, and the NULs
+    are deleted. A chunk's first row has no joiner: _body puts one between chunks.
     """
     layout = _LAYOUTS[fmt]
-    cells = [layout.cell(x) + layout.sep for x in axis]
+    heads = _text_cells([layout.join + "".join(layout.cell(v) + layout.sep for v in prefix) for prefix in prefixes])
+    axis_cells = np.zeros((len(axis), _CELL_WIDTH), dtype=np.uint8)
+    for first in range(0, len(axis), _SPELL_ROWS):
+        cells = layout.reals(axis[first : first + _SPELL_ROWS])
+        axis_cells[first : first + len(cells), : cells.shape[1]] = cells
+    sep = np.frombuffer(layout.sep.encode(), dtype=np.uint8)
+    joiner = len(layout.join)
+    kept = {}  # the texts of the repeating blocks' values that reals formats one by one
+
+    def pieces():
+        for values, index in blocks:
+            if index is not None:
+                yield layout.reals(values, kept), index.ravel()
+                continue
+            for first in range(0, len(values), _SPELL_ROWS):
+                piece = values[first : first + _SPELL_ROWS]
+                yield layout.reals(piece), np.arange(len(piece))
 
     def chunks():
-        for prefix, texts in lines:
-            head = "".join(layout.cell(v) + layout.sep for v in prefix)
-            rows = zip(cells, texts)
-            while chunk := [f"{head}{x}{text}" for x, text in itertools.islice(rows, _CHUNK_ROWS)]:
-                yield chunk
+        done = 0  # rows built
+        for cells, index in pieces():
+            for first in range(0, len(index), _CHUNK_ROWS):
+                part = index[first : first + _CHUNK_ROWS]
+                line, x = np.divmod(np.arange(done, done + len(part)), len(axis))
+                matrix = np.concatenate([heads.take(line, axis=0), axis_cells.take(x, axis=0),
+                                         np.broadcast_to(sep, (len(part), len(sep))), cells.take(part, axis=0)],
+                                        axis=1)
+                matrix[0, :joiner] = 0
+                done += len(part)
+                yield [matrix.tobytes().translate(None, b"\0").decode("ascii")]
 
     _write(path, _table_frame(fmt, meta, header), _body(layout, chunks()))
 
@@ -309,7 +437,10 @@ def _outputs(out: str, *suffixes: str) -> list[Path]:
         raise ValueError(f"--out {str(directory)!r} is a directory")
     try:
         base.parent.mkdir(parents=True, exist_ok=True)  # the one place a directory is made
-    except OSError as exc:  # mkdir names the path it could not make
+    except OSError as exc:  # mkdir names the path it could not make, not the file in its way
+        nearest = next(filter(Path.exists, base.parents), None)
+        if nearest is not None and not nearest.is_dir():
+            raise ValueError(f"--out {str(nearest)!r} is not a directory") from None
         raise ValueError(f"--out cannot make directory {exc.filename!r}: {exc.strerror}") from None
     return paths
 
@@ -439,10 +570,9 @@ def cmd_optimal_curves(args) -> int:
         "optimal-curves",
         {"n": args.n, "r": args.r, "fc_grid": args.fc_grid, "format": args.format},
     )
-    real = _LAYOUTS[args.format].real
     _write_curves(
-        path, args.format, meta, ["r", "fc", "p_opt"], fc_grid.tolist(),
-        (((r,), map(real, optimal_average(dim, r, fc_grid).tolist())) for r in args.r),
+        path, args.format, meta, ["r", "fc", "p_opt"], [(r,) for r in args.r], fc_grid,
+        ((optimal_average(dim, r, fc_grid), None) for r in args.r),
     )
     print(f"optimal-curves: wrote {rows} rows for N={dim}, r in {args.r}")
     return 0
@@ -453,22 +583,22 @@ def cmd_ansatz_grid(args) -> int:
     mixing_rows = len(args.mixing_n) * args.points
     _check_rows(mixing_rows, "--mixing-n with --points")
     phases_path, mixing_path = _outputs(args.out, f"_phases.{args.format}", f"_mixing.{args.format}")
-    phase_axis = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False).tolist()
-    theta_axis = np.linspace(0.0, math.pi / 2.0, args.points).tolist()
+    phase_axis = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
+    theta_axis = np.linspace(0.0, math.pi / 2.0, args.points)
 
     common = {"points": args.points, "format": args.format}
-    real = _LAYOUTS[args.format].real
     _write_curves(
         phases_path, args.format,
         _meta("ansatz-grid", {**common, "block": "phases", "n": args.n}),
-        ["n", "alpha", "beta", "p"], phase_axis,
-        zip(((args.n, alpha) for alpha in phase_axis), _phase_plane_rows(args.n, phase_axis, real)),
+        ["n", "alpha", "beta", "p"], [(args.n, alpha) for alpha in phase_axis.tolist()], phase_axis,
+        _phase_plane_rows(args.n, phase_axis),
     )
+    thetas = theta_axis.tolist()
     _write_curves(
         mixing_path, args.format,
         _meta("ansatz-grid", {**common, "block": "mixing", "n": args.mixing_n}),
-        ["n", "theta", "p"], theta_axis,
-        (((n,), [real(optimal_success_vs_mixing(n, t)) for t in theta_axis]) for n in args.mixing_n),
+        ["n", "theta", "p"], [(n,) for n in args.mixing_n], theta_axis,
+        ((np.array([optimal_success_vs_mixing(n, t) for t in thetas]), None) for n in args.mixing_n),
     )
     print(
         f"ansatz-grid: wrote {args.points**2} phase rows to {phases_path.name}, "

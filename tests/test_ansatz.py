@@ -254,14 +254,11 @@ def test_phase_plane_workspace_is_bounded_by_row_blocks():
 
 @pytest.mark.parametrize("n, distinct", [(2, 3202), (12, 11047)])
 def test_phase_plane_converts_each_distinct_value_once(n, distinct):
-    # 301 points make 90,601 cells; the README gives these distinct-value counts
+    # 301 points make 90,601 cells; the README gives these distinct-value counts.
+    # Each row block carries its distinct values once, which is all a writer spells.
     grid = np.linspace(0.0, 2 * math.pi, 301, endpoint=False).tolist()
-    converted = []
-
-    def convert(value):
-        converted.append(value)
-        return format(value, ".17g")
-
-    rows = list(_phase_plane_rows(n, grid, convert))
-    assert len(converted) == len(set(converted)) == distinct
-    assert rows == [[format(value, ".17g") for value in row] for row in optimal_success_phase_plane(n, grid)]
+    blocks = list(_phase_plane_rows(n, grid))
+    assert all(np.all(np.diff(values) > 0) for values, _ in blocks)
+    assert len(set().union(*(values.tolist() for values, _ in blocks))) == distinct
+    rows = [line for values, index in blocks for line in values[index].tolist()]
+    assert _bits(rows) == _bits(optimal_success_phase_plane(n, grid))

@@ -372,11 +372,14 @@ RUN = ["run", "--n", "1", "--marked", "0", "--tau", "1"]
     (["ansatz-grid"], "g", "'g_phases.csv' is a directory"),
     (["minimize"], "mini", "'mini.json' is a directory"),
     # the parent is a file: once every command did all its work before this failed, naming no flag
-    (VERIFY, "f/x", "cannot make directory 'f': File exists"),
-    (["optimal-curves"], "f/x", "cannot make directory 'f': File exists"),
-    (["ansatz-grid"], "f/g", "cannot make directory 'f': File exists"),
-    (RUN, "f/x", "cannot make directory 'f': File exists"),
-    (["minimize"], "f/mini", "cannot make directory 'f': File exists"),
+    (VERIFY, "f/x", "'f' is not a directory"),
+    (["optimal-curves"], "f/x", "'f' is not a directory"),
+    (["ansatz-grid"], "f/g", "'f' is not a directory"),
+    (RUN, "f/x", "'f' is not a directory"),
+    (["minimize"], "f/mini", "'f' is not a directory"),
+    # a file further up: mkdir names the directory it was asked to make, not the file in its way
+    (RUN, "f/a/b/x", "'f' is not a directory"),
+    (["ansatz-grid"], "f/a/g", "'f' is not a directory"),
 ])
 def test_bad_out_names_the_flag(tmp_path, monkeypatch, capsys, command, out, says):
     # refused before any work: a command once did all its work, then failed to write with a message naming no flag
@@ -655,6 +658,41 @@ def test_json_tables_are_written_row_by_row(tmp_path):
     assert len(json.loads((tmp_path / "t.json").read_text())["rows"]) == 200_000
 
 
+def _spelled(values) -> str:
+    """cli._spell's texts of the values, a line each."""
+    cells = cli._spell(np.asarray(values, dtype=np.float64))
+    lines = np.concatenate([cells, np.full((len(cells), 1), ord("\n"), dtype=np.uint8)], axis=1)
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _formatted(values) -> str:
+    return "".join(cli._FLOAT(value) + "\n" for value in np.asarray(values, dtype=np.float64).tolist())
+
+
+@given(st.lists(st.one_of(st.floats(), st.floats(1e-4, 1.0, exclude_max=True)), max_size=40))
+def test_spell_is_format_on_any_floats(values):
+    # NaN, infinities, subnormals and -0.0 go to _FLOAT; [1e-4, 1) is spelled from the digits
+    assert _spelled(values) == _formatted(values)
+
+
+def test_spell_is_format_on_ties_decades_and_curves():
+    # x = m / 2**(p + 1) with m odd is a tie of the 17-digit rounding: x * 10**p = m * 5**p / 2
+    ties = []
+    for p in range(17, 21):
+        low, high = 2 ** (p + 1) * 10.0 ** (16 - p), 2 ** (p + 1) * 10.0 ** (17 - p)
+        m = np.arange(math.ceil(low) | 1, high, 2 * max(1, int(high - low) // 5000))
+        ties.append(m / 2.0 ** (p + 1))
+    ties = np.concatenate(ties)
+    assert ties.min() >= 1e-4 and ties.max() < 1.0 and len(ties) > 9000
+    decades = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+    values = [ties, decades]
+    values += [np.nextafter(v, direction) for v in (ties, decades) for direction in (0.0, 2.0)]
+    grid = np.linspace(0.0, 1.0, 20_001)
+    values += [optimal_average(2**n, n, grid) for n in range(1, 21)]
+    values = np.concatenate(values)
+    assert _spelled(values) == _formatted(values)
+
+
 def test_json_curve_tables_build_no_encoder_per_row(tmp_path, monkeypatch):
     # one JSONEncoder.encode per row made JSON tables about 10x slower than CSV
     calls = []
@@ -677,6 +715,28 @@ def test_json_curve_tables_build_no_encoder_per_row(tmp_path, monkeypatch):
         counts.append(len(calls))
     assert len(json.loads(out.read_text())["rows"]) == 20_000
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_curve_tables_are_written_block_by_block(tmp_path, fmt):
+    # beyond the grid, one line's values and the spelled axis (8 + 8 + 24 bytes a point),
+    # the traced peak does not grow with the table; holding texts, it grew by 157 bytes a point
+    import gc
+    import tracemalloc
+
+    def peak(points: int) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["optimal-curves", "--n", "10", "--r", "3", "--fc-grid", f"0:1:{points}",
+                         "--format", fmt, "--out", str(tmp_path / "c")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # first-use allocations
+    small, large = peak(20_000), peak(200_000)
+    assert large - small < 40 * 180_000 + 2**20  # and one piece of texts (_SPELL_ROWS values)
 
 
 def test_json_and_csv_curve_tables_hold_the_same_numbers(tmp_path):
