@@ -8,11 +8,12 @@ RFC-4180 quoting; floats carry 17 significant digits. JSON files carry
 the same metadata under "meta", and each float as its shortest repr, as
 json.dumps writes it. Writes are atomic (temp file + rename).
 
-Every file is a frame (head, tail) around one streamed body. _json_frame
-builds each JSON frame, split at the body's placeholder _BODY; _write_late
-spools a body whose frame is known only once the body is spent. The curve
-tables are spelled from numpy arrays: _spell gives _FLOAT's text of a whole
-float64 column, and _write_curves builds each block of rows as one byte matrix.
+Every file, mini.json included, is a frame (head, tail) around rows joined by
+one joiner (_body). A JSON frame is _json_frame's, _JSON's text split at the
+placeholder _BODY, so _JSON places every bracket; a CSV frame is the prelude and
+header, and the last row's CRLF. _write_late spools a body whose frame is known
+only once it is spent. _spell gives _FLOAT's text of a whole float64 column, and
+_write_curves builds each block of curve rows as one byte matrix.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from collections import namedtuple
@@ -58,7 +60,7 @@ from .states import PureState, basis_state, check_qubit_count, equal_superpositi
 
 DEVIATION_THRESHOLD = 1e-10
 _FLOAT = "{:.17g}".format  # the text of every float written to a CSV file
-_CHUNK_ROWS = 1024  # table rows, or JSON encoder pieces, joined into one string before it is written
+_CHUNK_ROWS = 1024  # table rows joined into one string before it is written
 _SPELL_ROWS = 8 * _CHUNK_ROWS  # curve values spelled at once (_write_curves), so no whole column of texts is held
 _CELL_WIDTH = 24  # the longest text of a float64, as _FLOAT or repr spells it: "-2.2250738585072014e-308"
 _COPY_CHARS = 1 << 13  # a spooled text is read back this much at a time
@@ -191,13 +193,6 @@ def _atomic_write(path: Path, chunks) -> None:
         raise
 
 
-def _json_text(payload):
-    """A JSON file in pieces: _JSON's, _CHUNK_ROWS to a piece, as one write costs more than one join."""
-    pieces = _JSON.iterencode(payload)
-    yield from iter(lambda: "".join(itertools.islice(pieces, _CHUNK_ROWS)), "")
-    yield "\n"
-
-
 def _json_frame(payload) -> tuple[str, str]:
     """The frame of a JSON file: _JSON's text of payload, split where it holds _BODY."""
     head, tail = _JSON.encode(payload).split(_JSON.encode(_BODY))
@@ -211,41 +206,36 @@ def _json_cell(value) -> str:
     return int.__repr__(value) if type(value) is int else _JSON.encode(value)
 
 
-# Per format: cell text, the texts of a float64 array as a byte matrix (_spell), cell separator, row
-# joiner, and the text before the first row, after the last and for none; JSON as _JSON lays out
-# the value of "rows".
-_Layout = namedtuple("_Layout", "cell reals sep join start end empty")
+# Per format: cell text, the texts of a float64 array as a byte matrix (_spell), cell separator and
+# row joiner; JSON's as _JSON lays out the value of "rows", [[_BODY]] (_table_frame).
+_Layout = namedtuple("_Layout", "cell reals sep join")
 _LAYOUTS = {
-    "csv": _Layout(_fmt, _spell, ",", "\r\n", "", "\r\n", ""),
-    "json": _Layout(_json_cell, _repr_cells, ",\n      ", "\n    ],\n    [\n      ",
-                    "[\n    [\n      ", "\n    ]\n  ]", "[]"),
+    "csv": _Layout(_fmt, _spell, ",", "\r\n"),
+    "json": _Layout(_json_cell, _repr_cells, ",\n      ", "\n    ],\n    [\n      "),
 }
-# run's trace, the items of a list as deep in _JSON's text as a table row's cells; its brackets are _JSON's
-_TRACE_LAYOUT = _Layout(None, None, None, ",\n      ", "", "", "")
 
 
-def _body(layout: _Layout, chunks):
-    """A body in pieces: chunks, lists of row texts, joined and framed by layout."""
-    opening = layout.start
+def _body(join: str, chunks):
+    """A body in pieces: chunks, iterables of row texts, joined by join."""
+    opening = ""
     for chunk in chunks:
-        yield opening + layout.join.join(chunk)
-        opening = layout.join
-    yield layout.empty if opening is layout.start else layout.end
+        yield opening + join.join(chunk)
+        opening = join
 
 
 def _table_body(fmt: str, rows):
     """The body of rows, an iterable of flat rows of scalars, _CHUNK_ROWS rows to a chunk."""
     layout = _LAYOUTS[fmt]
     texts = (layout.sep.join(map(layout.cell, row)) for row in rows)
-    return _body(layout, iter(lambda: list(itertools.islice(texts, _CHUNK_ROWS)), []))
+    return _body(layout.join, iter(lambda: list(itertools.islice(texts, _CHUNK_ROWS)), []))
 
 
 def _table_frame(fmt: str, meta: dict, header: list[str]) -> tuple[str, str]:
-    """A table's frame: CSV's '# key=value' prelude and header row, or JSON's columns, meta and rows."""
+    """A table's frame: CSV's '# key=value' prelude, header row and last CRLF, or JSON's columns, meta and rows."""
     if fmt == "csv":
         prelude = "".join(f"# {key}={_fmt(meta[key])}\r\n" for key in sorted(meta))
-        return prelude + ",".join(header) + "\r\n", ""
-    return _json_frame({"columns": header, "meta": meta, "rows": _BODY})
+        return prelude + ",".join(header) + "\r\n", "\r\n"
+    return _json_frame({"columns": header, "meta": meta, "rows": [[_BODY]]})
 
 
 def _write(path: Path | None, frame: tuple[str, str], body) -> None:
@@ -325,7 +315,7 @@ def _write_curves(path: Path, fmt: str, meta: dict, header: list[str], prefixes:
                 done += len(part)
                 yield [matrix.tobytes().translate(None, b"\0").decode("ascii")]
 
-    _write(path, _table_frame(fmt, meta, header), _body(layout, chunks()))
+    _write(path, _table_frame(fmt, meta, header), _body(layout.join, chunks()))
 
 
 def _meta(command: str, params: dict) -> dict:
@@ -610,9 +600,9 @@ def cmd_ansatz_grid(args) -> int:
 def cmd_run(args) -> int:
     """One search run with the success trace recorded every step.
 
-    The trace is spooled as it is stepped, each value spelled as _JSON
-    spells a finite float. Its final value then completes the report, which
-    _json_frame spells around the trace's place.
+    The trace is spooled as it is stepped, each value spelled as _JSON spells a
+    finite float and joined by the JSON cell separator, as deep as the trace's.
+    Its final value then completes the report, which _json_frame spells around it.
     """
     marked = args.marked
     try:
@@ -637,7 +627,7 @@ def cmd_run(args) -> int:
             "report": RunReport(config, marked, final, (_BODY,)).to_dict(),
         })
 
-    _write_late(path, frame, _body(_TRACE_LAYOUT, trace_texts()))
+    _write_late(path, frame, _body(_LAYOUTS["json"].sep, trace_texts()))
     if path:
         print(f"run: final success {final:.6f} after tau={args.tau}; wrote {args.out}")
     return 0
@@ -680,13 +670,10 @@ def cmd_minimize(args) -> int:
             **state_meta,
         },
     )
-    payload = {
-        "meta": meta,
-        "true_minimum": true_min,
-        "success_rate": rate,
-        "reports": [rep.to_dict() for rep in reports],
-    }
-    _atomic_write(json_path, _json_text(payload))
+    # report by report, each _JSON's text one level deeper: a JSON string holds no raw newline
+    texts = ([_JSON.encode(rep.to_dict()).replace("\n", "\n    ")] for rep in reports)
+    frame = _json_frame({"meta": meta, "true_minimum": true_min, "success_rate": rate, "reports": [_BODY]})
+    _write(json_path, frame, _body(",\n    ", texts))
 
     rows = [
         (rep.seed, rep.result_index, rep.result_value, rep.oracle_calls_used,
@@ -718,13 +705,12 @@ def _add_state_flags(sub: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raise every usage error as ArgumentError, which main reports, rather than exiting.
-
-    Subparsers are built from the same class.
-    """
+    """Raise every usage error as ArgumentError, which main reports, rather than exiting; take a negative
+    number, exponent included, for a value ("--beta -1e-3"). Subparsers are built from the same class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, exit_on_error=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)

@@ -102,7 +102,7 @@ class ObjectiveTable:
     @classmethod
     def from_csv(cls, path: str | Path) -> "ObjectiveTable":
         """Load from a CSV "index,value" with a header row; the indices, sorted, must be 0..N-1."""
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is not part of the header
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip().lower() for h in header[:2]] != ["index", "value"]:

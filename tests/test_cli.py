@@ -205,10 +205,34 @@ def test_run_trace_stays_exact_over_a_million_steps(tmp_path, capsys):
     assert np.abs(trace - 0.5).max() <= 2.3e-16
 
 
-def test_json_text_is_one_dumps():
-    payload = {"b": [math.nan, math.inf, -math.inf, -0.0, 1e-310, (1, (2.5, [None, True]))],
-               "a": {"z": "naïve ψ \"q\"", "y": [], "x": {}}, "c": None, "ü": ()}
-    assert "".join(cli._json_text(payload)) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def test_mini_json_is_one_dumps_of_a_non_ascii_objective_name(tmp_path):
+    obj = tmp_path / "naïve ψ \"q\".csv"
+    obj.write_text("index,value\n0,4\n1,9\n2,-2\n3,6\n")
+    assert main(["minimize", "--objective", str(obj), "--seeds", "0,1,2", "--out", str(tmp_path / "mini")]) == 0
+    text = (tmp_path / "mini.json").read_bytes().decode("ascii")
+    payload = json.loads(text)
+    assert payload["meta"]["objective"] == str(obj) and len(payload["reports"]) == 3
+    assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_mini_json_is_written_report_by_report(tmp_path, monkeypatch):
+    written = {}
+    atomic_write = cli._atomic_write
+
+    def recording(path, chunks):
+        pieces = written[path.name] = []
+        atomic_write(path, (pieces.append(chunk) or chunk for chunk in chunks))
+
+    monkeypatch.setattr(cli, "_atomic_write", recording)
+    seeds = ",".join(map(str, range(50)))
+    assert main(["minimize", "--objective-n", "6", "--seeds", seeds, "--out", str(tmp_path / "mini")]) == 0
+    text = (tmp_path / "mini.json").read_text()
+    assert "".join(written["mini.json"]) == text
+    _, *body, _ = written["mini.json"]
+    reports = json.loads(text)["reports"]
+    longest = max(len(json.dumps(rep, sort_keys=True, indent=2).replace("\n", "\n    ")) for rep in reports)
+    assert len(body) == len(reports) == 50
+    assert max(map(len, body)) <= longest + len(",\n    ")
 
 
 def test_minimize_constant_objective(tmp_path):
@@ -313,6 +337,28 @@ def test_minimize_rejects_out_of_range_objective_n(tmp_path, capsys, objective_n
     assert main(["minimize", "--objective-n", objective_n, "--seeds", "0",
                  "--out", str(tmp_path / "mini")]) == 2
     assert "--objective-n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+RUN_ANSATZ = ["run", "--n", "2", "--marked", "1", "--tau", "1", "--alpha", "0"]
+
+
+@pytest.mark.parametrize("beta", ["-1e-3", "-1E+2", "-.5e1", "-2.e-1"])
+def test_a_negative_value_in_exponent_notation_is_a_value(tmp_path, beta):
+    assert main(RUN_ANSATZ + ["--beta", beta, "--theta", "0.5", "--out", str(tmp_path / "spaced.json")]) == 0
+    assert main(RUN_ANSATZ + [f"--beta={beta}", "--theta", "0.5", "--out", str(tmp_path / "joined.json")]) == 0
+    assert (tmp_path / "spaced.json").read_bytes() == (tmp_path / "joined.json").read_bytes()
+    assert json.loads((tmp_path / "spaced.json").read_text())["meta"]["beta"] == float(beta)
+
+
+@pytest.mark.parametrize("command, says", [
+    (RUN_ANSATZ + ["--beta", "0", "--theta", "-1e-3"], "--theta mixing angle must lie in [0, pi/2], got -0.001"),
+    (["minimize", "--objective-n", "3", "--growth", "-1e-3"],
+     "--growth growth factor must lie in (1, 4/3], got -0.001"),
+])
+def test_a_negative_exponent_value_gets_its_range_message(tmp_path, capsys, command, says):
+    assert main(command + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {says}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -629,15 +675,15 @@ def test_largest_tables_within_the_cap_are_accepted():
     assert args.tau == 9999999
 
 
+# no command writes a table of no rows (each writes two or more), so none is here; the ids keep the cases' names
 @pytest.mark.parametrize("rows", [
-    [],
     [(1, 2, 0.5, "basis", True, None, 1e-17)],
     [(n, -n * 0.1, float(n) / 3, "uniform", n % 2 == 0) for n in range(50)],
     [(5e-324, 1e-310, -0.0, 1e16, 1e17, 1e22, math.nan, math.inf, -math.inf, 'say "hi"', "naïve ψ")],
-])
+], ids=["rows1", "rows2", "rows3"])
 def test_json_tables_stream_the_layout_of_one_dumps(tmp_path, rows):
     meta = {"tool": "groversim", "n": [1, 2], "format": "json", "threshold": 1e-10}
-    header = list("abcdefghijk")[: len(rows[0]) if rows else 3]
+    header = list("abcdefghijk")[: len(rows[0])]
     cli._write_table(tmp_path / "t.json", "json", meta, header, iter(rows))
     assert (tmp_path / "t.json").read_text() == json.dumps(
         {"meta": meta, "columns": header, "rows": [list(row) for row in rows]}, sort_keys=True, indent=2) + "\n"

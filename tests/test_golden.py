@@ -9,7 +9,10 @@ Every case runs with tests/golden/inputs/ as the working directory, so an
 input file is named relative to it: the metadata records the name as given.
 """
 import argparse
+import itertools
+import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -109,6 +112,28 @@ def test_every_case_twice_in_one_process_in_either_order(tmp_path, monkeypatch):
             out = tmp_path / f"{turn}-{case}"
             for name in _run_case(case, out):
                 assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), (turn, case, name)
+
+
+GOLDEN_FILES = [f"{case}/{name}" for case, (_, files) in sorted(CASES.items()) for name in files]
+
+
+@pytest.mark.parametrize("name", GOLDEN_FILES)
+def test_golden_files_keep_the_layout_of_their_format(name):
+    # a join or frame slip must show here too, not only in the diff of a golden recorded on purpose
+    text = (GOLDEN / name).read_bytes().decode("ascii")
+    if name.endswith(".json"):
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        return
+    assert text.endswith("\r\n")
+    lines = text[:-2].split("\r\n")
+    prelude = list(itertools.takewhile(lambda line: line.startswith("# "), lines))
+    assert prelude and all(re.fullmatch(r"# [a-z_]+=[^\r\n=]*", line) for line in prelude)
+    assert prelude == sorted(prelude)
+    header, *rows = lines[len(prelude):]
+    assert re.fullmatch(r"[a-z_]+(,[a-z_]+)*", header) and rows
+    for row in rows:
+        assert "\r" not in row and "\n" not in row and not row.startswith("#")
+        assert row.count(",") == header.count(","), row
 
 
 @pytest.mark.parametrize("case", ["run-uniform", "run-ansatz"])

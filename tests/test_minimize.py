@@ -101,6 +101,17 @@ def test_table_csv_requires_header_and_full_coverage(tmp_path):
         ObjectiveTable.from_csv(p)
 
 
+def test_table_csv_skips_a_leading_byte_order_mark(tmp_path):
+    # spreadsheet programs start a UTF-8 CSV with one; it is not part of the header
+    text = "index,value\n2,0\n0,3.5\n3,7\n1,-1.25\n"
+    (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+    assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbfindex,")
+    plain, bom = (ObjectiveTable.from_csv(tmp_path / name) for name in ("plain.csv", "bom.csv"))
+    assert bom.n == plain.n
+    np.testing.assert_array_equal(bom.values, plain.values)
+
+
 def test_table_csv_takes_rows_in_any_order(tmp_path):
     p = tmp_path / "obj.csv"
     p.write_text("index,value\n2,0\n0,3.5\n\n3,7\n1,-1.25\n")
