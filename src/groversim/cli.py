@@ -56,7 +56,7 @@ from .search import (
     check_enumeration_cap,
     search_trace,
 )
-from .states import PureState, basis_state, check_qubit_count, equal_superposition, sealed
+from .states import PureState, check_qubit_count, equal_superposition
 
 DEVIATION_THRESHOLD = 1e-10
 _FLOAT = "{:.17g}".format  # the text of every float written to a CSV file
@@ -451,18 +451,6 @@ def _points(text: str) -> int:
     return points
 
 
-def _random_state(n: int, rng: np.random.Generator) -> PureState:
-    """Normal real parts, then normal imaginary parts, drawn from rng and normalized.
-
-    Built in the vector it returns: besides it, one part's draw is held at a time.
-    """
-    amps = np.empty(2**n, dtype=np.complex128)
-    amps.real = rng.normal(size=2**n)
-    amps.imag = rng.normal(size=2**n)
-    amps /= np.linalg.norm(amps)
-    return PureState(n, sealed(amps))
-
-
 def _start_state(args, n: int) -> tuple[PureState, dict]:
     """The ansatz state of --alpha/--beta/--theta, else the uniform one; with its metadata."""
     angles = (args.alpha, args.beta, args.theta)
@@ -497,25 +485,35 @@ def cmd_verify_average(args) -> int:
     max_dev = 0.0
 
     def cell_rows(n: int, r: int):
-        """The cell's rows, state by state; the states are stepped in groups, each over one enumeration."""
+        """The cell's rows, state by state; the states are stepped in groups, each over one enumeration.
+
+        Each state is drawn straight into its row of the group, and its f_c is |sum_x a_x|^2 / N
+        in Python floats, as coherence_fraction computes it.
+        """
         nonlocal max_dev
         dim = 2**n
         rng = np.random.default_rng([args.seed, n, r])
-        randoms = (_random_state(n, rng) for _ in range(args.states))
-        states = itertools.chain([basis_state(n), equal_superposition(n)], randoms)
         size = min(group_size(dim, r, args.tau), per_cell)
         group = np.empty((size, dim), dtype=np.complex128)
-        fcs = np.empty(size)
         for first in range(0, per_cell, size):
             count = min(size, per_cell - first)
-            for i, psi in enumerate(itertools.islice(states, count)):
-                group[i] = psi.amplitudes
-                fcs[i] = coherence_fraction(psi)
+            for state_id in range(first, first + count):
+                row = group[state_id - first]
+                if state_id == 0:
+                    row[:] = 0.0
+                    row[0] = 1.0
+                elif state_id == 1:
+                    row[:] = 1.0 / math.sqrt(dim)
+                else:
+                    row.real = rng.normal(size=dim)
+                    row.imag = rng.normal(size=dim)
+                    row /= np.linalg.norm(row)
+            fcs = np.array([abs(t) ** 2 / dim for t in group[:count].sum(axis=1).tolist()])
             brute = average_trajectories(group[:count], r, args.tau)
-            closed = np.stack([closed_form_average(dim, r, tau, fcs[:count]) for tau in taus], axis=1)
+            closed = np.stack([closed_form_average(dim, r, tau, fcs) for tau in taus], axis=1)
             deviation = np.abs(brute - closed)
             max_dev = max(max_dev, float(deviation.max()))
-            for j, fc in enumerate(fcs[:count].tolist()):
+            for j, fc in enumerate(fcs.tolist()):
                 state_id = first + j
                 kind = ("basis", "uniform")[state_id] if state_id < 2 else "random"
                 values = zip(brute[j].tolist(), closed[j].tolist(), deviation[j].tolist())

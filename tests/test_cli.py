@@ -11,12 +11,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groversim
-from groversim import cli, kernels, optimal_average, optimal_success_vs_mixing, optimal_success_vs_phases
+from groversim import (
+    basis_state,
+    cli,
+    coherence_fraction,
+    equal_superposition,
+    kernels,
+    optimal_average,
+    optimal_success_vs_mixing,
+    optimal_success_vs_phases,
+)
 from groversim.cli import build_parser, main
+from groversim.states import NORM_ATOL
+from conftest import random_state
 
 
 def read_csv(path):
@@ -863,26 +874,66 @@ def test_a_failed_run_leaves_neither_trace_nor_spool(tmp_path, monkeypatch, caps
     assert capsys.readouterr().out == ""
 
 
-def test_a_random_state_is_drawn_into_its_own_vector():
-    # each draw holds half a vector, one at a time, beside a few hundred bytes
-    # of array and state objects; adding two drawn arrays peaked at 2.13 vectors
+def test_verify_draws_each_state_into_its_row_of_the_group(tmp_path, monkeypatch):
+    # rows 0 and 1 are the basis and the uniform state, then come the random states in the order the
+    # cell's generator draws them, spread over 3 groups; drawing holds half a row beside the group
     import tracemalloc
 
-    rng = np.random.default_rng(5)
-    cli._random_state(16, rng)  # numpy.random's one-time set-up
+    n, seed, states = 10, 7, 10
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 4 * 2**n)  # 4 states a group, for r = 1 and r = 2
+    argv = ["verify-average", "--n", str(n), "--r", "1,2", "--tau", "0", "--states", str(states),
+            "--seed", str(seed), "--out", str(tmp_path / "v")]
+    assert main(argv) == 0  # numpy.random's and the norm's one-time set-up
+    # per cell: the groups handed over, the traced memory just before the group buffer is made, and
+    # the traced peak, less that buffer, when the first group is handed over
+    groups, starts, peaks = [], [], []
+    group_size = cli.group_size
+
+    def mark_the_cell_start(dim, r, tau_max):
+        groups.append([])
+        starts.append(0)  # the lists grow before the peak is reset, so their growth is not counted
+        tracemalloc.reset_peak()
+        starts[-1] = tracemalloc.get_traced_memory()[0]
+        return group_size(dim, r, tau_max)
+
+    def capture(group, r, tau_max):
+        if not groups[-1]:
+            peaks.append(tracemalloc.get_traced_memory()[1] - sys.getsizeof(group.base))
+        groups[-1].append(group.copy())
+        return kernels.average_trajectories(group, r, tau_max)
+
+    monkeypatch.setattr(cli, "group_size", mark_the_cell_start)
+    monkeypatch.setattr(cli, "average_trajectories", capture)
     tracemalloc.start()
     try:
-        psi = cli._random_state(16, rng)
-        _, peak = tracemalloc.get_traced_memory()
+        assert main(argv) == 0
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * psi.amplitudes.nbytes + 1024
-    # the same draws, in the same order, as the sum of the two parts
-    for n in (1, 3, 10):
-        old, new = np.random.default_rng([7, n]), np.random.default_rng([7, n])
-        amps = old.normal(size=2**n) + 1j * old.normal(size=2**n)
-        amps /= np.linalg.norm(amps)
-        np.testing.assert_array_equal(cli._random_state(n, new).amplitudes, amps)
+    for r, cell, start, peak in zip((1, 2), groups, starts, peaks, strict=True):
+        assert [len(group) for group in cell] == [4, 4, 4]
+        assert peak - start <= 2**n * 8 + 1024  # half a row
+        rows = np.concatenate(cell)
+        rng = np.random.default_rng([seed, n, r])
+        expected = [basis_state(n), equal_superposition(n)] + [random_state(n, rng) for _ in range(states)]
+        for row, psi in zip(rows, expected, strict=True):
+            np.testing.assert_array_equal(row, psi.amplitudes, strict=True)
+            assert abs(np.vdot(row, row).real - 1.0) <= NORM_ATOL
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 5), states=st.integers(0, 5), fmt=st.sampled_from(["csv", "json"]))
+def test_the_fc_column_is_coherence_fraction_bit_for_bit(n, seed, states, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "v"
+        assert main(["verify-average", "--n", str(n), "--r", "1", "--tau", "0", "--states", str(states),
+                     "--seed", str(seed), "--format", fmt, "--out", str(out)]) == 0
+        if fmt == "json":
+            fcs = [row[5] for row in json.loads(out.read_text())["rows"]]
+        else:
+            fcs = [float(row[5]) for row in read_csv(out)[2]]
+    rng = np.random.default_rng([seed, n, 1])
+    expected = [basis_state(n), equal_superposition(n)] + [random_state(n, rng) for _ in range(states)]
+    assert fcs == [coherence_fraction(psi) for psi in expected]
 
 
 def test_ansatz_grid_body_is_the_public_plane_cell_by_cell(tmp_path):
