@@ -22,6 +22,7 @@ from groversim.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
+_SEEDS_20 = ",".join(map(str, range(20)))
 
 # case -> (argv with "{out}" for the output path, files the command writes)
 CASES = {
@@ -83,6 +84,16 @@ CASES = {
     ),
     "minimize-objective": (
         ["minimize", "--objective", "objective.csv", "--seeds", "0,1,2,3", "--out", "{out}/mini"],
+        ["mini.json", "mini_summary.csv"],
+    ),
+    # 20 seeds at N = 4096, where a round's unmarked gaps hold hundreds of indices
+    "minimize-n12": (
+        ["minimize", "--objective-n", "12", "--seeds", _SEEDS_20, "--out", "{out}/mini"],
+        ["mini.json", "mini_summary.csv"],
+    ),
+    "minimize-n12-ansatz": (
+        ["minimize", "--objective-n", "12", "--generator", "uniform", "--seeds", _SEEDS_20,
+         "--alpha", "0.4", "--beta", "0.9", "--theta", "0.3", "--out", "{out}/mini"],
         ["mini.json", "mini_summary.csv"],
     ),
 }
