@@ -10,7 +10,8 @@ json.dumps writes it. Writes are atomic (temp file + rename).
 
 Every file, mini.json included, is a frame (head, tail) around rows joined by
 one joiner (_body). A JSON frame is _json_frame's, _JSON's text split at the
-placeholder _BODY, so _JSON places every bracket; a CSV frame is the prelude and
+placeholder _BODY, so _JSON places every bracket of a frame; mini.json's reports
+are spelled by _report_text in _JSON's layout. A CSV frame is the prelude and
 header, and the last row's CRLF. _write_late spools a body whose frame is known
 only once it is spent. _spell gives _FLOAT's text of a whole float64 column, and
 _write_curves builds each block of curve rows as one byte matrix.
@@ -631,6 +632,26 @@ def cmd_run(args) -> int:
     return 0
 
 
+# one mini.json report, laid out as _JSON lays out its sorted fields one level deep in "reports"
+_REPORT = (
+    '{{\n      "converged": {},\n      "oracle_calls_used": {},\n      "result_index": {},'
+    '\n      "result_value": {},\n      "seed": {},\n      "stop_reason": {},'
+    '\n      "threshold_history": [\n        [\n          {}\n        ]\n      ]\n    }}'
+)
+
+
+def _report_text(rep) -> str:
+    """_JSON's text of rep.to_dict() one level deeper, spelled field by field without the encoder."""
+    history = "\n        ],\n        [\n          ".join(
+        f"{_json_cell(x)},\n          {_json_cell(d)}" for x, d in rep.threshold_history
+    )
+    return _REPORT.format(
+        "true" if rep.converged else "false", _json_cell(rep.oracle_calls_used), _json_cell(rep.result_index),
+        _json_cell(rep.result_value), _json_cell(rep.seed), json.encoder.encode_basestring_ascii(rep.stop_reason),
+        history,
+    )
+
+
 def cmd_minimize(args) -> int:
     """Threshold-descent minimization over seeds, with an aggregate summary."""
     if args.objective:
@@ -668,8 +689,7 @@ def cmd_minimize(args) -> int:
             **state_meta,
         },
     )
-    # report by report, each _JSON's text one level deeper: a JSON string holds no raw newline
-    texts = ([_JSON.encode(rep.to_dict()).replace("\n", "\n    ")] for rep in reports)
+    texts = ([_report_text(rep)] for rep in reports)
     frame = _json_frame({"meta": meta, "true_minimum": true_min, "success_rate": rate, "reports": [_BODY]})
     _write(json_path, frame, _body(",\n    ", texts))
 

@@ -35,9 +35,11 @@ An attempt pays only for the steps it takes:
   threshold drops, it narrows them in O(r) for the r of the round before.
 - A round builds RM, O(r), only once an attempt takes a step. Such an
   attempt bisects the sorted marked indices m_i, where k = i + 1, for the
-  first one past the bound, then the unmarked gap before it, where k = i:
-  O(log N) evaluations of F in Python floats, and x is marked exactly
-  when it is that m_i.
+  first one past the bound; x is marked exactly when it is that m_i. A
+  miss is then settled by one probe, at m_i - 1 (or by none, when no m_i
+  passes), so it costs at most ceil(log2(r + 1)) + 1 evaluations of F
+  in Python floats. Only a hit, or the budget's last attempt, whose index
+  is reported, bisects the unmarked gap before m_i, where k = i: O(log N).
 """
 from __future__ import annotations
 
@@ -262,13 +264,14 @@ class _SearchRound:
             if self._steps is None:
                 self._build()
             start, r, dim = self.start, len(self.marked), len(self.start.mass)
-            while len(self._steps) <= steps:
-                total, b, c = self._steps[-1]
-                total -= 2.0 * (self._picked_sum + r * b)
-                b += (2.0 / dim) * total
-                c = (2.0 / dim) * total - c
-                self._steps.append((total, b, c))
-            _, b, c = self._steps[steps]
+            known, picked, scale = self._steps, self._picked_sum, 2.0 / dim
+            total, b, c = known[-1]
+            while len(known) <= steps:
+                total -= 2.0 * (picked + r * b)
+                b += scale * total
+                c = scale * total - c
+                known.append((total, b, c))
+            _, b, c = known[steps]
             sc = (-1.0 if steps % 2 else 1.0) * c.conjugate()
             a, w, cc, dd = 2.0 * sc, 2.0 * (b.conjugate() - sc), abs(c) ** 2, abs(b) ** 2 - abs(c) ** 2
             top = (start.mass[-1] + (a.real * start.re[-1] - a.imag * start.im[-1])
@@ -276,7 +279,7 @@ class _SearchRound:
             coef = self._coefs[steps] = (a.real, a.imag, w.real, w.imag, cc, dd, top)
         return coef
 
-    def draw(self, steps: int, u: float) -> tuple[int, bool]:
+    def draw(self, steps: int, u: float, whole: bool = True) -> tuple[int | None, bool]:
         """One attempt: the first x with F(x) > u F(N - 1) (N - 1 if none is), and whether x is marked.
 
         After zero steps b = c = 0, so F is the start's mass itself; it never
@@ -284,6 +287,14 @@ class _SearchRound:
         bisection over the marked indices finds the first marked m_i past
         the bound, with k = i + 1 known; a second bisects the unmarked gap
         before m_i, where k = i. x is marked exactly when it is m_i.
+
+        A miss needs its x only when whole is true; otherwise it comes back
+        as (None, False), as soon as it is proved. That takes no gap at all
+        when no m_i passes the bound, and else one probe: the gap's
+        bisection returns m_i only when every probe fails the bound, its
+        last at m_i - 1, so F(m_i - 1) > bound settles a miss. A miss then
+        costs at most ceil(log2(r + 1)) + 1 evaluations of F; a hit, or a
+        whole draw, bisects the gap as well.
         """
         mass, marked = self.start.mass, self.marked
         last = len(mass) - 1
@@ -305,15 +316,22 @@ class _SearchRound:
             else:
                 lo = i + 1
         i = lo
+        if i == len(marked) and not whole:  # past every marked index
+            return None, False
         lo, hi = (marked[i - 1] + 1 if i else 0), (marked[i] if i < len(marked) else last)
         gap, shift = wr * mre[i] - wi * mim[i], dd * i
+        if not whole and lo < hi:
+            x = hi - 1
+            if mass[x] + (ar * re[x] - ai * im[x]) + gap + (cc * (x + 1) + shift) > bound:
+                return None, False
         while lo < hi:
             x = (lo + hi) // 2
             if mass[x] + (ar * re[x] - ai * im[x]) + gap + (cc * (x + 1) + shift) > bound:
                 hi = x
             else:
                 lo = x + 1
-        return lo, i < len(marked) and lo == marked[i]
+        hit = i < len(marked) and lo == marked[i]
+        return (lo if hit or whole else None), hit
 
 
 def exponential_search(
@@ -342,18 +360,20 @@ def _search(
     """exponential_search on a round with `budget` calls left; one rng.integers and rng.random per attempt."""
     reach_cap = math.sqrt(rnd.start.amps.shape[0])
     reach = min(schedule.initial_reach, reach_cap)
+    growth, integers, random, draw = schedule.growth, rng.integers, rng.random, rnd.draw
     calls = 0
     while True:
-        j = int(rng.integers(0, math.ceil(reach)))
+        j = int(integers(0, math.ceil(reach)))
         if budget is not None and calls + j > budget:
             j = budget - calls
         calls += j
-        x, hit = rnd.draw(j, rng.random())
+        spent = budget is not None and calls >= budget
+        x, hit = draw(j, random(), spent)  # only the last attempt reports the index of a miss
         if hit:
             return SearchOutcome(index=x, oracle_calls=calls, verified=True)
-        if budget is not None and calls >= budget:
+        if spent:
             return SearchOutcome(index=x, oracle_calls=calls, verified=False)
-        reach = min(reach * schedule.growth, reach_cap)
+        reach = min(reach * growth, reach_cap)
 
 
 def run_minimization(

@@ -246,6 +246,26 @@ def test_mini_json_is_written_report_by_report(tmp_path, monkeypatch):
     assert max(map(len, body)) <= longest + len(",\n    ")
 
 
+_REPORTS = st.builds(
+    groversim.MinimizationReport,
+    result_index=st.integers(0, 2**20),
+    result_value=st.one_of(st.sampled_from([-0.0, 0.0]), st.floats()),
+    threshold_history=st.one_of(
+        st.tuples(st.tuples(st.integers(0, 2**20), st.floats())),
+        st.lists(st.tuples(st.integers(0, 2**20), st.floats()), min_size=1, max_size=60).map(tuple),
+    ),
+    oracle_calls_used=st.integers(0, 2**40),
+    converged=st.booleans(),
+    stop_reason=st.one_of(st.sampled_from(["empty_marked_set", "budget_exhausted"]), st.text()),
+    seed=st.one_of(st.integers(0, 2**31), st.integers(0, 2**256)),
+)
+
+
+@given(_REPORTS)
+def test_a_mini_json_report_is_spelled_as_the_encoder_spells_it(rep):
+    assert cli._report_text(rep) == cli._JSON.encode(rep.to_dict()).replace("\n", "\n    ")
+
+
 def test_minimize_constant_objective(tmp_path):
     assert main(["minimize", "--generator", "constant", "--objective-n", "3",
                  "--seeds", "0,1", "--out", str(tmp_path / "mini")]) == 0

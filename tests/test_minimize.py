@@ -546,6 +546,25 @@ def test_draws_match_the_eager_round_draw_for_draw(rng):
                         assert rnd.draw(j, u) == (x, eager.is_marked(x)), f"{kind} n={n} r={r} j={j} u={u!r}"
 
 
+def test_a_miss_settled_by_one_probe_agrees_with_the_whole_draw(rng):
+    # every edge start; r in {1, 2, N/2, N - 1, N}, with N - 1 marked and not; steps 1..ceil(sqrt N)
+    for n in (1, 4, 8):
+        dim = 2**n
+        for kind, amps in _edge_states(n, rng).items():
+            start = _start_sums(amps)
+            for r in sorted({1, 2, dim // 2, dim - 1, dim}):
+                sets = [np.append(np.sort(rng.choice(dim - 1, size=r - 1, replace=False)), dim - 1)]
+                if r < dim:
+                    sets.append(np.sort(rng.choice(dim - 1, size=r, replace=False)))
+                for marked in sets:
+                    rnd = _SearchRound(start, marked)
+                    for j in range(1, math.ceil(math.sqrt(dim)) + 1):
+                        for u in (0.0, _LAST_BELOW_ONE, *rng.random(6)):
+                            x, hit = rnd.draw(j, u)
+                            where = f"{kind} n={n} marked={marked.tolist()} j={j} u={u!r}"
+                            assert rnd.draw(j, u, whole=False) == ((x, True) if hit else (None, False)), where
+
+
 def test_a_stepped_draw_allocates_no_array():
     n = 16
     rng = np.random.default_rng(0)
@@ -606,8 +625,8 @@ def test_search_respects_its_budget():
         rng = np.random.default_rng(seed)
         out = exponential_search(basis_state(2, 0), MarkedSet((2,)), SearchSchedule(max_oracle_calls=1), rng)
         assert out.oracle_calls <= 1
-        if not out.verified:
-            assert out.index != 2
+        if not out.verified:  # the index a miss measured, not a stand-in
+            assert out.index in (0, 1, 3)
 
 
 def test_empty_marked_set_is_unrepresentable():
